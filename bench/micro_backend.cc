@@ -1,6 +1,7 @@
 // Micro-benchmark for the pluggable storage backends: batched scan and
-// reorganization throughput on posix files, the in-memory backend, and the
-// CachedBackend decorator (bounded block cache + read coalescing) at 1/8
+// reorganization throughput on posix files, the in-memory backend, and a
+// block cache (one SharedCacheBackend view: bounded LRU + read coalescing,
+// no prefetch) in front of posix at 1/8
 // worker threads. Emits a JSON document recording, for the cached runs, the
 // measured read-amplification reduction: the fraction of logically
 // requested bytes the cache absorbed instead of the base backend
@@ -26,6 +27,7 @@
 #include "core/physical.h"
 #include "layout/sorted_layout.h"
 #include "storage/backend.h"
+#include "storage/shared_cache.h"
 
 namespace oreo {
 namespace bench {
@@ -61,7 +63,7 @@ LayoutInstance SortedInstance(const Table& t, int column, uint32_t k,
 struct BackendConfig {
   std::string label;  // "posix" | "inmem" | "cached"
   std::shared_ptr<StorageBackend> backend;
-  CachedBackend* cached = nullptr;  // non-null for the cached config
+  SharedCacheBackend* cached = nullptr;  // non-null for the cached config
 };
 
 BackendConfig MakeConfig(const std::string& label) {
@@ -74,8 +76,8 @@ BackendConfig MakeConfig(const std::string& label) {
   } else {
     // The cache sits where it matters: in front of the file backend whose
     // whole-partition decompress-per-batch reads it absorbs.
-    std::shared_ptr<CachedBackend> cached =
-        MakeCachedBackend(MakePosixBackend());
+    std::shared_ptr<SharedCacheBackend> cached = MakeSharedCacheBackend(
+        MakeSharedBlockCache(), MakePosixBackend(), /*shard=*/0);
     cfg.cached = cached.get();
     cfg.backend = std::move(cached);
   }
@@ -129,7 +131,7 @@ RunResult RunOnce(const Table& t, const LayoutInstance& by_ts,
   r.reorg_s = reorg->seconds;
 
   if (cfg.cached != nullptr) {
-    CachedBackend::CacheStats stats = cfg.cached->cache_stats();
+    SharedCacheStats stats = cfg.cached->cache()->stats();
     r.cache_hits = stats.hits;
     r.cache_misses = stats.misses;
     r.logical_read_bytes = stats.hit_bytes + stats.miss_bytes;

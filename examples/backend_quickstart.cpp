@@ -15,6 +15,7 @@
 #include "core/engine.h"
 #include "core/oreo.h"
 #include "layout/qdtree_layout.h"
+#include "storage/shared_cache.h"
 #include "workloads/dataset.h"
 #include "workloads/workload_gen.h"
 
@@ -77,7 +78,10 @@ int main() {
       (std::filesystem::temp_directory_path() / "oreo_backend_quickstart")
           .string();
 
-  std::shared_ptr<CachedBackend> cached = MakeCachedBackend(MakePosixBackend());
+  // A bounded block cache in front of the file store: one view of a
+  // private SharedBlockCache (shard 0).
+  std::shared_ptr<SharedCacheBackend> cached = MakeSharedCacheBackend(
+      MakeSharedBlockCache(), MakePosixBackend(), /*shard=*/0);
   struct Config {
     const char* label;
     std::shared_ptr<StorageBackend> backend;
@@ -109,7 +113,7 @@ int main() {
     }
   }
 
-  CachedBackend::CacheStats stats = cached->cache_stats();
+  SharedCacheStats stats = cached->cache()->stats();
   const uint64_t logical = stats.hit_bytes + stats.miss_bytes;
   std::printf("\ncached(posix): %llu hits / %llu misses; %.1f%% of logically "
               "read bytes never touched the file store\n",

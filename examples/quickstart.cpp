@@ -28,7 +28,7 @@ int main() {
 
   // 3. OREO with Qd-tree as the layout-generation mechanism, through the
   //    unified engine factory. (This walkthrough reads per-step layout
-  //    names from the unsharded core's registry; see sharded_quickstart /
+  //    names from the single shard's core registry; see sharded_quickstart /
   //    backend_quickstart for the num_shards and storage_backend knobs.)
   QdTreeGenerator generator;
   core::OreoOptions opts;

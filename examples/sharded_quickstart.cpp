@@ -34,8 +34,9 @@ int main() {
   // 3. OREO sharded 4 ways on the time column (range routing), one engine
   //    per shard, behind the unified MakeEngine handle. The same
   //    OreoOptions knobs drive every shard; shard engines derive their own
-  //    seeds. (Set num_shards = 1 and this very code runs the unsharded
-  //    engine; set opts.storage_backend and the bytes move off disk.)
+  //    seeds. (Set num_shards = 1 and this very code runs one shard over
+  //    the whole table; set opts.storage_backend and the bytes move off
+  //    disk.)
   QdTreeGenerator generator;
   core::OreoOptions opts;
   opts.alpha = 80.0;

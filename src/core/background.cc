@@ -139,32 +139,5 @@ void ReorgPool::WorkerLoop() {
   }
 }
 
-BackgroundReorganizer::BackgroundReorganizer(PhysicalStore* store,
-                                             const Table* table)
-    : store_(store), table_(table), pool_(1) {
-  OREO_CHECK(store_ != nullptr && table_ != nullptr);
-}
-
-bool BackgroundReorganizer::Submit(const LayoutInstance* target) {
-  return Submit(target, nullptr);
-}
-
-bool BackgroundReorganizer::Submit(
-    const LayoutInstance* target, std::function<void(const Status&)> on_done) {
-  OREO_CHECK(target != nullptr);
-  ReorgPool::Job job;
-  job.shard = 0;
-  job.store = store_;
-  job.table = table_;
-  job.target = target;
-  job.on_done = std::move(on_done);
-  return pool_.Submit(std::move(job));
-}
-
-BackgroundReorganizer::Stats BackgroundReorganizer::stats() const {
-  ReorgPool::Stats pool_stats = pool_.stats();
-  return Stats{pool_stats.completed, pool_stats.total_seconds};
-}
-
 }  // namespace core
 }  // namespace oreo

@@ -8,10 +8,11 @@
 // a fixed set of worker threads executes PhysicalStore reorganizations with
 // at most one in flight *per shard* — concurrent across shards, still
 // strictly serialized within a shard (each shard keeps the paper's
-// one-background-process contract for its own data). The foreground keeps
+// one-background-process contract for its own data; a 1-shard engine gets a
+// one-worker pool, exactly the paper's setup). The foreground keeps
 // executing queries against per-shard snapshots (PhysicalStore::GetSnapshot
-// / ExecuteQueryOnSnapshot) and refreshes them at batch boundaries when a
-// shard's generation() advances.
+// / ExecuteQueryBatchOnSnapshot) and refreshes them at batch boundaries when
+// a shard's generation() advances.
 //
 // Shutdown ordering: destroying the pool *discards* jobs that are queued but
 // not yet started — their completion callbacks are destroyed unfired — and
@@ -21,10 +22,6 @@
 // (declare it after the engines/stores it serves). Submit during or after
 // shutdown returns false instead of enqueueing work that could outlive the
 // owner.
-//
-// BackgroundReorganizer is the legacy single-store facade: a 1-worker,
-// 1-shard pool with the PR 3 API, kept so unsharded callers and the seed
-// tests keep working unchanged (and inherit the shutdown fix).
 #ifndef OREO_CORE_BACKGROUND_H_
 #define OREO_CORE_BACKGROUND_H_
 
@@ -127,57 +124,6 @@ class ReorgPool {
   size_t max_concurrent_ = 0;
   Stats stats_;
   std::vector<std::thread> workers_;
-};
-
-/// Asynchronous executor for a single unsharded store (legacy facade over a
-/// one-worker ReorgPool).
-class BackgroundReorganizer {
- public:
-  /// `store` and `table` must outlive this object.
-  BackgroundReorganizer(PhysicalStore* store, const Table* table);
-
-  /// Requests a reorganization into `target` (which must outlive the run).
-  /// Returns false if one is already in flight — mirroring the single
-  /// background process of the paper's setup.
-  bool Submit(const LayoutInstance* target);
-
-  /// Submit with a completion hook: `on_done` runs on the worker thread
-  /// right after the layout swap (success or failure), before the
-  /// reorganizer reports idle. Batch drivers use it to learn the exact
-  /// point after which a fresh GetSnapshot() sees the new layout. A job
-  /// still queued at destruction is discarded and its hook never fires
-  /// (see the ReorgPool shutdown contract).
-  bool Submit(const LayoutInstance* target,
-              std::function<void(const Status&)> on_done);
-
-  /// True while a reorganization is running or queued.
-  bool busy() const { return pool_.busy(0); }
-
-  /// Blocks until the in-flight reorganization (if any) has completed.
-  void Wait() { pool_.Wait(0); }
-
-  /// Monotonic count of completed reorganizations (successful or not).
-  uint64_t generation() const { return pool_.generation(0); }
-
-  struct Stats {
-    int64_t completed = 0;
-    double total_seconds = 0.0;
-  };
-  Stats stats() const;
-
-  /// Status of the most recently completed reorganization.
-  Status last_status() const { return pool_.last_status(0); }
-
-  /// Points future Submits at a new source table. The live-ingest fold swaps
-  /// the engine's base table; jobs capture the table pointer at Submit, so
-  /// this is safe whenever the reorganizer is idle (the fold quiesces it
-  /// first). `table` must outlive subsequent runs.
-  void set_table(const Table* table) { table_ = table; }
-
- private:
-  PhysicalStore* store_;
-  const Table* table_;
-  ReorgPool pool_;
 };
 
 }  // namespace core

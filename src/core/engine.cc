@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include "common/logging.h"
-#include "core/oreo.h"
 #include "core/sharded_oreo.h"
 
 namespace oreo {
@@ -62,9 +61,6 @@ std::unique_ptr<OreoEngine> MakeEngine(const Table* table,
                                        const LayoutGenerator* generator,
                                        int time_column,
                                        const OreoOptions& options) {
-  if (options.num_shards <= 1) {
-    return std::make_unique<Oreo>(table, generator, time_column, options);
-  }
   return std::make_unique<ShardedOreo>(table, generator, time_column, options);
 }
 

@@ -1,10 +1,11 @@
-// The unified client handle: one abstract interface over the unsharded
-// `Oreo` engine and the `ShardedOreo` routing facade, so tests, benches,
-// examples and replay drive any (sharding x storage backend) combination
-// through the same code.
+// The client handle: tests, benches, examples, the server and replay drive
+// every (sharding x storage backend) combination through this interface.
+// There is one engine path — MakeEngine always builds the `ShardedOreo`
+// facade, which runs one logical `Oreo` core plus one physical store per
+// shard; `num_shards = 1` is simply one shard.
 //
 //   core::OreoOptions opts;
-//   opts.num_shards = 4;                       // 1 = the unsharded engine
+//   opts.num_shards = 4;                       // 1 = one shard, same code
 //   opts.storage_backend = MakeInMemoryBackend();  // null = posix files
 //   auto engine = core::MakeEngine(&table, &generator, time_column, opts);
 //   engine->AttachPhysical(dir);
@@ -78,8 +79,8 @@ class SingleCallerGuard {
 
 }  // namespace internal
 
-/// Per-engine traces plus merged accounting from OreoEngine::RunTrace.
-/// The unsharded engine fills exactly one slot (the whole stream).
+/// Per-shard traces plus merged accounting from OreoEngine::RunTrace.
+/// A 1-shard engine fills exactly one slot (the whole stream).
 struct EngineSimResult {
   /// Per-shard simulation results, in shard-local (unweighted) units —
   /// feed these to the per-shard competitive-ratio machinery.
@@ -115,7 +116,7 @@ struct IngestResult {
 };
 
 /// Online data-layout reorganization behind one handle, logical and
-/// physical. Implemented by `Oreo` (num_shards == 1) and `ShardedOreo`.
+/// physical. Implemented by the `ShardedOreo` facade (see MakeEngine).
 class OreoEngine {
  public:
   virtual ~OreoEngine() = default;
@@ -174,7 +175,7 @@ class OreoEngine {
 
   // --- trace / introspection ----------------------------------------------
 
-  /// Number of independent per-shard engines (1 for the unsharded engine).
+  /// Number of independent per-shard engines (>= 1).
   virtual size_t num_shards() const = 0;
 
   /// The shard's logical core — registry, manager, strategy and trace
@@ -185,8 +186,9 @@ class OreoEngine {
   // --- physical execution -------------------------------------------------
 
   /// Creates the engine's on-disk (or in-memory, per
-  /// OreoOptions::storage_backend) stores under `base_dir`, materializes the
-  /// current layout(s), and starts the background rewrite machinery.
+  /// OreoOptions::storage_backend) stores under `base_dir/shard_NNN`,
+  /// materializes the current layout(s), and starts the background rewrite
+  /// machinery.
   virtual Status AttachPhysical(const std::string& base_dir,
                                 size_t store_threads = 1,
                                 size_t reorg_workers = 0) = 0;
@@ -208,7 +210,7 @@ class OreoEngine {
   virtual void WaitForReorgs() = 0;
 
   /// Replays a recorded decision trace physically into `dir` (one
-  /// subdirectory per shard when sharded), through the engine's storage
+  /// `shard_NNN` subdirectory per shard), through the engine's storage
   /// backend. `sim` must come from RunTrace(..., record_trace=true) on this
   /// engine. Counters are bit-identical at any `num_threads`/`batch_size`.
   virtual Result<PhysicalReplayResult> ReplayTrace(
@@ -216,9 +218,10 @@ class OreoEngine {
       size_t num_threads = 0, size_t batch_size = 1) const = 0;
 };
 
-/// Builds the engine `options` describe: `num_shards == 1` yields the plain
-/// `Oreo` core, anything larger the `ShardedOreo` routing facade. `table`
-/// and `generator` must outlive the returned engine.
+/// Builds the engine `options` describe: the `ShardedOreo` facade over
+/// `options.num_shards` shards, each with its own logical `Oreo` core (and,
+/// after AttachPhysical, its own store). `table` and `generator` must
+/// outlive the returned engine.
 std::unique_ptr<OreoEngine> MakeEngine(const Table* table,
                                        const LayoutGenerator* generator,
                                        int time_column,

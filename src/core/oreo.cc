@@ -1,7 +1,6 @@
 #include "core/oreo.h"
 
 #include "common/logging.h"
-#include "storage/shared_cache.h"
 
 namespace oreo {
 namespace core {
@@ -38,7 +37,7 @@ mts::DumtsOptions ToDumtsOptions(const OreoOptions& o) {
 
 Oreo::Oreo(const Table* table, const LayoutGenerator* generator,
            int time_column, const OreoOptions& options)
-    : options_(options), table_(table), live_(table) {
+    : options_(options), live_(table) {
   // Process-wide by design (see OreoOptions::kernel_mode): kernels have no
   // per-engine state, and results are bit-identical in every mode.
   if (options.kernel_mode != simd::KernelMode::kAuto) {
@@ -115,20 +114,6 @@ SimResult Oreo::Run(const std::vector<Query>& queries, bool record_trace) {
   return result;
 }
 
-EngineSimResult Oreo::RunTrace(const std::vector<Query>& queries,
-                               bool record_trace) {
-  EngineSimResult result;
-  result.shards.push_back(Run(queries, record_trace));
-  // The stream copy only exists to feed ReplayTrace, which needs the
-  // recorded trace anyway; without one, skip duplicating the queries.
-  result.shard_streams.push_back(record_trace ? queries
-                                              : std::vector<Query>{});
-  result.query_cost = result.shards.front().query_cost;
-  result.reorg_cost = result.shards.front().reorg_cost;
-  result.num_switches = result.shards.front().num_switches;
-  return result;
-}
-
 double Oreo::LiveCost(int state, const Query& query) const {
   const double base_cost = registry_.Cost(state, query);
   const uint64_t delta = live_.delta_rows();
@@ -167,6 +152,9 @@ Result<IngestResult> Oreo::Ingest(IngestBatch batch) {
     }
   }
 
+  // The scan overlay borrows pointers into live_, which Apply and Fold
+  // invalidate: drop it until the facade rebuilds it against its snapshot.
+  RebuildLiveView(nullptr);
   const bool appended = batch.rows.num_rows() > 0;
   ingest::LiveTable::ApplyStats stats = live_.Apply(
       std::move(batch.rows), batch.deletes, mutation_log_.version() + 1);
@@ -190,18 +178,14 @@ Result<IngestResult> Oreo::Ingest(IngestBatch batch) {
 
   if (live_.has_mutations() &&
       live_.MutationFraction() >= options_.fold_threshold) {
-    OREO_RETURN_NOT_OK(Fold());
+    Fold();
     result.folded = true;
   }
   result.visible_rows = live_.visible_rows();
-  RefreshLiveView();
   return result;
 }
 
-Status Oreo::Fold() {
-  // Quiesce first: in-flight background jobs hold pointers into registry
-  // instances and read their partitioning contents.
-  if (store_ != nullptr) WaitForReorgs();
+void Oreo::Fold() {
   live_.Fold();
   const Table* folded = &live_.base();
   // Every state — live AND removed — rematerializes over the folded table:
@@ -210,29 +194,9 @@ Status Oreo::Fold() {
   registry_.RematerializeAll(*folded);
   manager_->OnDataFolded(folded);
   ++folds_;
-  if (store_ != nullptr) {
-    // A fold is compaction, not a layout switch: the same logical layout is
-    // rebuilt over the folded rows, so no alpha is charged and the D-UMTS
-    // state is untouched.
-    Result<PhysicalStore::Timing> timing =
-        store_->MaterializeLayout(*folded, registry_.Get(physical_state_));
-    if (!timing.ok()) return timing.status();
-    materialized_state_ = physical_state_;
-    pending_target_.reset();
-    failed_target_.reset();
-    snapshot_ = store_->GetSnapshot();
-    reorganizer_->set_table(folded);
-  }
-  return Status::OK();
-}
-
-void Oreo::RefreshLiveView() {
-  RebuildLiveView(store_ != nullptr ? snapshot_.instance
-                                    : live_view_instance_);
 }
 
 void Oreo::RebuildLiveView(const LayoutInstance* instance) {
-  live_view_instance_ = instance;
   live_view_ = PhysicalStore::LiveScanView{};
   live_view_active_ = instance != nullptr && live_.has_mutations();
   if (!live_view_active_) return;
@@ -256,112 +220,6 @@ void Oreo::RebuildLiveView(const LayoutInstance* instance) {
         PhysicalStore::LiveScanView::Delta{&chunk.rows, &chunk.zones,
                                            &chunk.live});
   }
-}
-
-Oreo& Oreo::core(size_t shard) {
-  OREO_CHECK_EQ(shard, 0u) << "the unsharded engine has exactly one core";
-  return *this;
-}
-
-const Oreo& Oreo::core(size_t shard) const {
-  OREO_CHECK_EQ(shard, 0u) << "the unsharded engine has exactly one core";
-  return *this;
-}
-
-PhysicalStore* Oreo::store(size_t shard) {
-  OREO_CHECK_EQ(shard, 0u) << "the unsharded engine has exactly one store";
-  return store_.get();
-}
-
-Status Oreo::AttachPhysical(const std::string& base_dir, size_t store_threads,
-                            size_t reorg_workers) {
-  OREO_CHECK(store_ == nullptr) << "physical layer already attached";
-  (void)reorg_workers;  // one store: a single rewriter is the ceiling anyway
-  store_ = std::make_unique<PhysicalStore>(
-      base_dir, store_threads,
-      WrapWithSharedCache(options_.shared_cache, options_.storage_backend,
-                          /*shard=*/0));
-  Result<PhysicalStore::Timing> timing =
-      store_->MaterializeLayout(live_.base(), registry_.Get(physical_state_));
-  if (!timing.ok()) {
-    store_.reset();
-    return timing.status();
-  }
-  materialized_state_ = physical_state_;
-  pending_target_.reset();
-  failed_target_.reset();
-  snapshot_ = store_->GetSnapshot();
-  reorganizer_ =
-      std::make_unique<BackgroundReorganizer>(store_.get(), &live_.base());
-  // Mutations can precede AttachPhysical; surface them to the scan path.
-  RefreshLiveView();
-  return Status::OK();
-}
-
-Result<PhysicalStore::BatchExec> Oreo::ExecuteBatchPhysical(
-    const std::vector<Query>& queries) {
-  OREO_CHECK(store_ != nullptr) << "call AttachPhysical first";
-  return store_->ExecuteQueryBatchOnSnapshot(snapshot_, queries,
-                                             live_scan_view());
-}
-
-size_t Oreo::SyncPhysical() {
-  OREO_CHECK(store_ != nullptr) << "call AttachPhysical first";
-  // Mirrors ShardedOreo::SyncPhysical for a single store: a still-running
-  // rewrite keeps serving from the pinned snapshot.
-  if (reorganizer_->busy()) return 0;
-  if (pending_target_.has_value()) {
-    if (reorganizer_->last_status().ok()) {
-      materialized_state_ = *pending_target_;
-      failed_target_.reset();
-    } else {
-      // Not resubmitted until the desired state moves on, so reconciliation
-      // terminates and last_status() keeps reporting the failure.
-      failed_target_ = pending_target_;
-    }
-    pending_target_.reset();
-    snapshot_ = store_->GetSnapshot();
-    store_->Vacuum();
-    // The snapshot moved to a new partitioning; tombstone masks are indexed
-    // by partition, so rebuild the live view against it.
-    RefreshLiveView();
-  }
-  const int desired = physical_state_;
-  if (desired != materialized_state_ &&
-      failed_target_ != std::optional<int>(desired)) {
-    if (reorganizer_->Submit(&registry_.Get(desired))) {
-      pending_target_ = desired;
-      return 1;
-    }
-  }
-  return 0;
-}
-
-void Oreo::WaitForReorgs() {
-  OREO_CHECK(store_ != nullptr) << "call AttachPhysical first";
-  // Reconciliation can queue a follow-up rewrite (the logical state may have
-  // moved again mid-rewrite); loop until the store is quiescent.
-  for (;;) {
-    reorganizer_->Wait();
-    if (SyncPhysical() == 0) break;
-  }
-}
-
-Result<PhysicalReplayResult> Oreo::ReplayTrace(const EngineSimResult& sim,
-                                               size_t stride,
-                                               const std::string& dir,
-                                               size_t num_threads,
-                                               size_t batch_size) const {
-  OREO_CHECK_EQ(sim.shards.size(), 1u) << "sim does not match this engine";
-  OREO_CHECK_EQ(sim.shard_streams.size(), 1u);
-  // live_.base(): after a fold the registry's partitionings cover the folded
-  // table, so the replay must read it (identical to table_ before any fold).
-  return ReplayPhysical(live_.base(), registry_, sim.shards.front(),
-                        sim.shard_streams.front(), stride, dir, num_threads,
-                        batch_size,
-                        WrapWithSharedCache(options_.shared_cache,
-                                            options_.storage_backend,
-                                            /*shard=*/0));
 }
 
 }  // namespace core

@@ -1,31 +1,27 @@
-// The public OREO facade: wires together the LAYOUT MANAGER and the
-// REORGANIZER (paper Figure 1) behind one object. Downstream users interact
-// with this class; the lower-level pieces (LayoutManager, DynamicUmts,
-// strategies, simulator) remain available for composition.
+// The logical OREO core: the LAYOUT MANAGER plus the D-UMTS decision loop
+// (paper Figure 1) for one table, and the live-ingest overlay its costs and
+// scans account for. It owns no files: the REORGANIZER half — the physical
+// store, pinned snapshots and background rewrites — lives in the engine
+// facade (core/sharded_oreo.h), which runs one Oreo per shard. Build engines
+// with core::MakeEngine; use an Oreo directly for logical-only work
+// (simulation, cost studies, the paper figures).
 //
 // Typical use:
 //   QdTreeGenerator gen;
 //   Oreo oreo(&table, &gen, /*time_column=*/5, OreoOptions{});
 //   for (const Query& q : stream) {
 //     auto step = oreo.Step(q);
-//     // serve q on layout `step.state`; if step.reorganized, kick off a
-//     // background rewrite into oreo.registry().Get(step.state)
+//     // serve q on layout `step.state`; step.reorganized marks a switch
 //   }
-// High-throughput clients that accumulate queries between reorganization
-// cadences feed whole batches instead:
-//   for (const QueryBatch& b : MakeBatches(stream, 64)) {
-//     auto batch = oreo.RunBatch(b);
-//     // execute the batch physically, e.g. grouped by step.state through
-//     // PhysicalStore::ExecuteQueryBatch
-//   }
+// Clients that accumulate queries between reorganization cadences feed
+// whole batches instead (RunBatch), bit-identical to stepping one by one.
 #ifndef OREO_CORE_OREO_H_
 #define OREO_CORE_OREO_H_
 
+#include <deque>
 #include <memory>
-#include <optional>
 
 #include "common/simd.h"
-#include "core/background.h"
 #include "core/engine.h"
 #include "core/layout_manager.h"
 #include "core/simulator.h"
@@ -69,20 +65,21 @@ struct OreoOptions {
   /// per hardware core, 1 = serial. Determinism contract: costs, switch
   /// decisions and traces are bit-identical at any thread count.
   size_t num_threads = 0;
-  /// --- sharding (consumed by ShardedOreo; a bare Oreo ignores them) ---
+  /// --- sharding (consumed by the engine facade; a bare Oreo ignores them)
   /// Number of horizontal shards; each shard runs its own independent
   /// engine (LayoutManager + D-UMTS + PhysicalStore), preserving the
-  /// per-shard competitive guarantee. 1 = the unsharded engine.
+  /// per-shard competitive guarantee. 1 = one shard over the whole table.
   size_t num_shards = 1;
   /// Routing column for the shard split (-1 = the time column).
   int shard_column = -1;
   /// Row→shard routing function (see storage/shard_router.h).
   ShardRouting shard_routing = ShardRouting::kHash;
-  /// Physical byte store for AttachPhysical / replay (see
+  /// Physical byte store for the engine's AttachPhysical / ReplayTrace (see
   /// storage/backend.h): nullptr = local posix files; MakeInMemoryBackend()
-  /// serves disklessly; MakeCachedBackend(...) adds a bounded block cache
-  /// with read coalescing. The determinism contract extends to backends:
-  /// costs, switches, traces and partition bytes are backend-invariant.
+  /// serves disklessly; a bounded block cache with read coalescing comes
+  /// from `shared_cache` below. The determinism contract extends to
+  /// backends: costs, switches, traces and partition bytes are
+  /// backend-invariant.
   std::shared_ptr<StorageBackend> storage_backend;
   /// Cross-shard tiered block cache (see storage/shared_cache.h). When set,
   /// every shard's store wraps `storage_backend` (or posix when null) in a
@@ -107,49 +104,45 @@ struct OreoOptions {
   uint64_t seed = 42;  ///< master seed; sub-components derive their own
 };
 
-/// Online data-layout reorganization with worst-case guarantees — the
-/// unsharded engine behind the OreoEngine interface.
-///
-/// The logical layer tracks layout states, costs and switch decisions.
-/// AttachPhysical adds a PhysicalStore (through
-/// OreoOptions::storage_backend) plus a single background rewriter, so
-/// ExecuteBatchPhysical / SyncPhysical / WaitForReorgs mirror the sharded
-/// facade's batch loop on one store.
-class Oreo : public OreoEngine {
+/// Online data-layout decisions with worst-case guarantees for one table:
+/// layout states, costs and switch decisions, plus the live-ingest overlay.
+/// Logical only — the engine facade attaches the physical store and
+/// rebuilds the scan overlay (RebuildLiveView) against its snapshots.
+class Oreo {
  public:
+  using StepResult = OreoEngine::StepResult;
+  using BatchResult = OreoEngine::BatchResult;
+
   /// `table` and `generator` must outlive this object. `time_column` defines
   /// the initial default layout (sort by arrival time).
   Oreo(const Table* table, const LayoutGenerator* generator, int time_column,
        const OreoOptions& options);
-  ~Oreo() override;
+  ~Oreo();
+
+  Oreo(const Oreo&) = delete;
+  Oreo& operator=(const Oreo&) = delete;
 
   /// Streaming API: observe one query, get the serving layout and any
   /// reorganization decision.
-  StepResult Step(const Query& query) override;
+  StepResult Step(const Query& query);
 
   /// Batched streaming API: admits a vector of queries in one step. The
   /// online algorithm is inherently sequential (every arrival updates the
   /// window, the samples and the D-UMTS counters), so decisions are made in
   /// stream order through the exact Step code path — results are
   /// bit-identical to calling Step per query. Batching buys amortized
-  /// dispatch and hands the caller per-batch switch points, so physical
-  /// execution can group each batch's queries by serving state and fan them
-  /// out through PhysicalStore::ExecuteQueryBatch.
+  /// dispatch and hands the caller per-batch switch points.
   ///
   /// External-synchronization contract: Step / RunBatch / Run assume a
   /// single caller — concurrent entry from two threads corrupts the
   /// sequential decision state and is a programmer error (aborted by a debug
   /// assert, see internal::SingleCallerGuard). Multiplexing front ends must
   /// serialize submission through a core::BatchSubmitter.
-  BatchResult RunBatch(const QueryBatch& batch) override;
+  BatchResult RunBatch(const QueryBatch& batch);
 
   /// Convenience API: run a whole stream through the framework and return
   /// the cost accounting. Resets nothing; intended for a fresh instance.
   SimResult Run(const std::vector<Query>& queries, bool record_trace = false);
-
-  /// OreoEngine trace API: Run wrapped into the one-shard result shape.
-  EngineSimResult RunTrace(const std::vector<Query>& queries,
-                           bool record_trace = false) override;
 
   // --- live ingest (see OreoEngine::Ingest) --------------------------------
 
@@ -166,10 +159,11 @@ class Oreo : public OreoEngine {
   /// mutations c_live is exactly c_base, so pre-ingest runs are bit-identical
   /// to builds without this subsystem. Crossing fold_threshold triggers the
   /// compaction fold (tombstones drop, deltas merge into a fresh base, every
-  /// registry state rematerializes, the physical layout rebuilds, the
-  /// manager's dataset sample redraws). Single-caller contract applies, like
-  /// Step/RunBatch.
-  Result<IngestResult> Ingest(IngestBatch batch) override;
+  /// registry state rematerializes, the manager's dataset sample redraws);
+  /// the caller must quiesce background rewrites reading registry layouts
+  /// first and rebuild the physical layout after a fold. Single-caller
+  /// contract applies, like Step/RunBatch.
+  Result<IngestResult> Ingest(IngestBatch batch);
 
   /// The mutable logical table (base + deltas + tombstone masks).
   const ingest::LiveTable& live() const { return live_; }
@@ -184,55 +178,18 @@ class Oreo : public OreoEngine {
   /// Number of compaction folds performed so far.
   uint64_t folds() const { return folds_; }
   /// The tombstone/delta overlay for snapshot scans, or nullptr when no
-  /// mutation is pending (ShardedOreo threads this into its per-shard
-  /// ExecuteQueryBatchOnSnapshot calls). Rebuilt at ingest and
-  /// snapshot-refresh boundaries, never mid-batch.
+  /// mutation is pending or no overlay was built. The facade threads this
+  /// into its per-shard ExecuteQueryBatchOnSnapshot calls.
   const PhysicalStore::LiveScanView* live_scan_view() const {
     return live_view_active_ ? &live_view_ : nullptr;
   }
   /// Rebuilds the overlay against `instance`'s partitioning — the layout the
-  /// caller's snapshot serves. For engines whose physical store lives
-  /// *outside* the Oreo (sharded mode: ShardEngine owns the store and pinned
-  /// snapshot), the facade calls this after every ingest and snapshot
-  /// refresh; an Oreo with its own store refreshes itself and never needs
-  /// it. Passing nullptr deactivates the view.
+  /// caller's snapshot serves. The facade calls this after every ingest and
+  /// snapshot refresh, never mid-batch. Passing nullptr deactivates the view.
   void RebuildLiveView(const LayoutInstance* instance);
-
-  // --- physical execution (see OreoEngine) --------------------------------
-
-  /// Creates the store under `base_dir`, materializes the current layout and
-  /// starts one background rewriter. `reorg_workers` is accepted for
-  /// interface parity; a single store keeps the paper's one-background-
-  /// process contract regardless.
-  Status AttachPhysical(const std::string& base_dir, size_t store_threads = 1,
-                        size_t reorg_workers = 0) override;
-  bool has_physical() const override { return store_ != nullptr; }
-  PhysicalStore* store(size_t shard = 0) override;
-
-  /// Executes a batch against the pinned snapshot (refreshed only at
-  /// SyncPhysical, never mid-batch, so in-flight rewrites cannot tear it).
-  Result<PhysicalStore::BatchExec> ExecuteBatchPhysical(
-      const std::vector<Query>& queries) override;
-
-  /// Batch-boundary reconciliation: adopts a finished background rewrite
-  /// (refresh snapshot, vacuum superseded files) and submits one when the
-  /// logical serving layout moved ahead of the materialized one. A target
-  /// that failed is not resubmitted until the desired state moves on.
-  size_t SyncPhysical() override;
-  void WaitForReorgs() override;
-
-  Result<PhysicalReplayResult> ReplayTrace(const EngineSimResult& sim,
-                                           size_t stride,
-                                           const std::string& dir,
-                                           size_t num_threads = 0,
-                                           size_t batch_size = 1)
-      const override;
 
   // --- introspection ------------------------------------------------------
 
-  size_t num_shards() const override { return 1; }
-  Oreo& core(size_t shard = 0) override;
-  const Oreo& core(size_t shard = 0) const override;
   const OreoOptions& options() const { return options_; }
 
   const StateRegistry& registry() const { return registry_; }
@@ -244,23 +201,18 @@ class Oreo : public OreoEngine {
   /// by `reorg_delay` queries after a switch decision).
   int physical_state() const { return physical_state_; }
 
-  double total_query_cost() const override { return query_cost_; }
-  double total_reorg_cost() const override { return reorg_cost_; }
-  int64_t num_switches() const override { return num_switches_; }
+  double total_query_cost() const { return query_cost_; }
+  double total_reorg_cost() const { return reorg_cost_; }
+  int64_t num_switches() const { return num_switches_; }
 
  private:
   /// The live cost c_live(s, q) D-UMTS decides on and Step charges; equals
   /// the registry's base cost exactly when no mutations are pending.
   double LiveCost(int state, const Query& query) const;
-  /// The compaction fold (see Ingest). Quiesces background rewrites first.
-  Status Fold();
-  /// Rebuilds live_view_ against the own-store snapshot (or the instance the
-  /// facade last supplied via RebuildLiveView); inactive when no mutation is
-  /// pending.
-  void RefreshLiveView();
+  /// The compaction fold (see Ingest).
+  void Fold();
 
   OreoOptions options_;
-  const Table* table_;  // not owned
   ingest::LiveTable live_;
   ingest::MutationLog mutation_log_;
   uint64_t folds_ = 0;
@@ -275,19 +227,8 @@ class Oreo : public OreoEngine {
   double query_cost_ = 0.0;
   double reorg_cost_ = 0.0;
   int64_t num_switches_ = 0;
-
-  // Physical mode (null until AttachPhysical). The reorganizer is declared
-  // after the store: its in-flight callback touches the store and must be
-  // destroyed (joined) first.
-  std::unique_ptr<PhysicalStore> store_;
-  PhysicalStore::Snapshot snapshot_;
   PhysicalStore::LiveScanView live_view_;
   bool live_view_active_ = false;
-  const LayoutInstance* live_view_instance_ = nullptr;  // masks' partitioning
-  int materialized_state_ = -1;
-  std::optional<int> pending_target_;
-  std::optional<int> failed_target_;
-  std::unique_ptr<BackgroundReorganizer> reorganizer_;
 };
 
 }  // namespace core

@@ -1,5 +1,8 @@
 #include "core/physical.h"
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
 #include <set>
 
 #include "common/logging.h"
@@ -131,22 +134,16 @@ PhysicalStore::Snapshot PhysicalStore::GetSnapshot() const {
 
 Result<PhysicalStore::QueryExec> PhysicalStore::ExecuteQuery(
     const Query& query) {
-  return ExecuteQueryOnSnapshot(GetSnapshot(), query);
+  OREO_ASSIGN_OR_RETURN(BatchExec batch,
+                        ExecuteQueryBatchOnSnapshot(GetSnapshot(), {query}));
+  QueryExec exec = batch.per_query.front();
+  exec.seconds = batch.seconds;
+  return exec;
 }
 
 Result<PhysicalStore::BatchExec> PhysicalStore::ExecuteQueryBatch(
     const std::vector<Query>& queries) {
   return ExecuteQueryBatchOnSnapshot(GetSnapshot(), queries);
-}
-
-Result<PhysicalStore::QueryExec> PhysicalStore::ExecuteQueryOnSnapshot(
-    const Snapshot& snapshot, const Query& query,
-    const LiveScanView* live) const {
-  OREO_ASSIGN_OR_RETURN(BatchExec batch,
-                        ExecuteQueryBatchOnSnapshot(snapshot, {query}, live));
-  QueryExec exec = batch.per_query.front();
-  exec.seconds = batch.seconds;
-  return exec;
 }
 
 Result<PhysicalStore::BatchExec> PhysicalStore::ExecuteQueryBatchOnSnapshot(
@@ -290,29 +287,6 @@ Result<PhysicalStore::BatchExec> PhysicalStore::ExecuteQueryBatchOnSnapshot(
   return batch;
 }
 
-void PhysicalStore::PrefetchForQueries(const Snapshot& snapshot,
-                                       const std::vector<Query>& queries,
-                                       size_t skip) const {
-  if (prefetcher_ == nullptr || snapshot.instance == nullptr) return;
-  if (queries.size() <= skip) return;
-  const Partitioning& parts = snapshot.instance->partitioning();
-  std::set<std::string> scanning;  // files the first `skip` queries touch
-  for (size_t qi = 0; qi < skip && qi < queries.size(); ++qi) {
-    for (uint32_t pid : PartitionsToRead(parts, queries[qi])) {
-      scanning.insert(snapshot.files[pid]);
-    }
-  }
-  std::set<std::string> requested;
-  for (size_t qi = skip; qi < queries.size(); ++qi) {
-    for (uint32_t pid : PartitionsToRead(parts, queries[qi])) {
-      const std::string& file = snapshot.files[pid];
-      if (scanning.count(file) == 0 && requested.insert(file).second) {
-        prefetcher_->StartPrefetch(file);
-      }
-    }
-  }
-}
-
 void PhysicalStore::Vacuum() {
   std::vector<std::string> victims;
   {
@@ -343,15 +317,23 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   // rows through the new layout (the "update the BID column" step), and
   // spill one run file per (source, target) pair. Real systems repartition
   // out-of-core exactly like this; the table cannot be assumed to fit in
-  // memory. Sources shuffle in parallel: every task writes only spill files
-  // named after its own source id and its own result slot; the per-target
-  // run lists are then assembled serially in source order, so the merge pass
-  // concatenates runs in the exact order a serial shuffle would.
+  // memory. Every run remembers the base row ids of its rows: file row r of
+  // source partition src is base row source.partitions[src][r], because
+  // every file is written in canonical order. Sources shuffle in parallel:
+  // every task writes only spill files named after its own source id and
+  // its own result slot; the per-target run lists are then assembled
+  // serially in source order, so the merge pass sees the exact run order a
+  // serial shuffle would.
+  struct SpillRun {
+    std::string path;
+    std::vector<uint32_t> ids;  // base row ids, ascending
+  };
   struct ShuffleResult {
     uint64_t rows = 0;
-    std::vector<std::pair<uint32_t, std::string>> runs;  // (target, path)
+    std::vector<std::pair<uint32_t, SpillRun>> runs;  // (target, run)
     Status status;
   };
+  const Partitioning& source_parts = source.instance->partitioning();
   std::vector<ShuffleResult> shuffled(source.files.size());
   pool_->ParallelFor(source.files.size(), [&](size_t src) {
     ShuffleResult& out = shuffled[src];
@@ -360,6 +342,9 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
       out.status = part.status();
       return;
     }
+    const std::vector<uint32_t>& base_ids = source_parts.partitions[src];
+    OREO_CHECK_EQ(part->num_rows(), base_ids.size())
+        << "partition file does not match its snapshot's partitioning";
     out.rows = part->num_rows();
     std::vector<uint32_t> assignment = to.layout().Assign(*part);
     std::vector<std::vector<uint32_t>> rows_per_target(raw_partitions);
@@ -368,42 +353,52 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
     }
     for (uint32_t tgt = 0; tgt < raw_partitions; ++tgt) {
       if (rows_per_target[tgt].empty()) continue;
-      Table run = part->Take(rows_per_target[tgt]);
-      std::string path = dir_ + "/spill_e" + std::to_string(epoch) + "_s" +
-                         std::to_string(src) + "_t" + std::to_string(tgt) +
-                         ".blk";
-      out.status =
-          WriteBlockTo(backend_.get(), path, run, /*sync=*/false).status();
+      SpillRun run;
+      run.path = dir_ + "/spill_e" + std::to_string(epoch) + "_s" +
+                 std::to_string(src) + "_t" + std::to_string(tgt) + ".blk";
+      out.status = WriteBlockTo(backend_.get(), run.path,
+                                part->Take(rows_per_target[tgt]),
+                                /*sync=*/false)
+                       .status();
       if (!out.status.ok()) return;
-      out.runs.emplace_back(tgt, std::move(path));
+      run.ids.reserve(rows_per_target[tgt].size());
+      for (uint32_t r : rows_per_target[tgt]) run.ids.push_back(base_ids[r]);
+      out.runs.emplace_back(tgt, std::move(run));
     }
   });
   // Partial-write cleanup on shuffle failure: drop every spill run written
   // so far; the source layout is untouched and keeps serving.
   uint64_t rows_read = 0;
-  std::vector<std::vector<std::string>> spills(raw_partitions);
+  std::vector<std::vector<SpillRun>> spills(raw_partitions);
+  auto spill_paths = [&spills](uint32_t tgt) {
+    std::vector<std::string> paths;
+    for (const SpillRun& run : spills[tgt]) paths.push_back(run.path);
+    return paths;
+  };
   {
     Status first;
     for (ShuffleResult& s : shuffled) {
       if (!s.status.ok() && first.ok()) first = s.status;
       rows_read += s.rows;
-      for (auto& [tgt, path] : s.runs) spills[tgt].push_back(std::move(path));
+      for (auto& [tgt, run] : s.runs) spills[tgt].push_back(std::move(run));
     }
     if (!first.ok()) {
-      for (const auto& per_target : spills) {
-        BestEffortRemoveAll(backend_.get(), per_target);
+      for (uint32_t tgt = 0; tgt < raw_partitions; ++tgt) {
+        BestEffortRemoveAll(backend_.get(), spill_paths(tgt));
       }
       return first;
     }
   }
   OREO_CHECK_EQ(rows_read, table.num_rows());
 
-  // Pass 2 — merge: per target partition, read its runs back, concatenate,
-  // compress and durably write the final partition file. Raw target ids with
-  // no rows are dropped, mirroring BuildPartitioning's compaction, so file
-  // order lines up with `to.partitioning()`'s zone maps. The dense pid of
-  // every surviving target is known up front, so the merges are independent
-  // and fan out across the pool.
+  // Pass 2 — merge: per target partition, read its runs back, merge them
+  // into ascending base-row-id order (the canonical order of
+  // `to.partitioning()`, which the tombstone masks index by), compress and
+  // durably write the final partition file. Raw target ids with no rows are
+  // dropped, mirroring BuildPartitioning's compaction, so file order lines
+  // up with `to.partitioning()`'s zone maps. The dense pid of every
+  // surviving target is known up front, so the merges are independent and
+  // fan out across the pool.
   size_t next_epoch = epoch + 1;
   const Partitioning& parts = to.partitioning();
   std::vector<uint32_t> surviving;  // raw target ids with rows, ascending
@@ -416,28 +411,50 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   std::vector<uint64_t> new_bytes(surviving.size());
   std::vector<Status> statuses(surviving.size());
   pool_->ParallelFor(surviving.size(), [&](size_t pid) {
-    Table merged(table.schema());
-    for (const std::string& spill : spills[surviving[pid]]) {
-      Result<Table> run = ReadBlockFrom(backend_.get(), spill);
+    // The first run seeds the merged table, string dictionary included:
+    // every block carries its table's whole dictionary (Take shares it), so
+    // the later runs append into the same codes and the file bytes match a
+    // fresh materialization.
+    std::optional<Table> merged;
+    std::vector<uint32_t> ids;
+    for (const SpillRun& spill : spills[surviving[pid]]) {
+      Result<Table> run = ReadBlockFrom(backend_.get(), spill.path);
       if (!run.ok()) {
         statuses[pid] = run.status();
         return;
       }
-      merged.Append(*run);
+      if (merged.has_value()) {
+        merged->Append(*run);
+      } else {
+        merged = std::move(*run);
+      }
+      ids.insert(ids.end(), spill.ids.begin(), spill.ids.end());
     }
-    OREO_CHECK_EQ(merged.num_rows(), parts.zones[pid].num_rows)
-        << "shuffle row count diverged from the canonical partitioning";
+    // Runs are each ascending; they interleave unless every source
+    // partition is a range of row ids, so restore the id order.
+    if (!std::is_sorted(ids.begin(), ids.end())) {
+      std::vector<uint32_t> order(ids.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(),
+                [&ids](uint32_t a, uint32_t b) { return ids[a] < ids[b]; });
+      merged = merged->Take(order);
+      std::vector<uint32_t> sorted_ids(ids.size());
+      for (size_t i = 0; i < order.size(); ++i) sorted_ids[i] = ids[order[i]];
+      ids = std::move(sorted_ids);
+    }
+    OREO_CHECK(ids == parts.partitions[pid])
+        << "shuffle rows diverged from the canonical partitioning";
     std::string path = PartitionPath(next_epoch, pid);
     // Durable write: the swap must not expose a layout that could vanish.
     Result<uint64_t> bytes =
-        WriteBlockTo(backend_.get(), path, merged, /*sync=*/true);
+        WriteBlockTo(backend_.get(), path, *merged, /*sync=*/true);
     if (!bytes.ok()) {
       statuses[pid] = bytes.status();
       return;
     }
     new_files[pid] = path;
     new_bytes[pid] = *bytes;
-    BestEffortRemoveAll(backend_.get(), spills[surviving[pid]]);
+    BestEffortRemoveAll(backend_.get(), spill_paths(surviving[pid]));
   });
   {
     // Partial-write cleanup on merge failure: remove the new-epoch files and
@@ -449,7 +466,7 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
         if (!new_files[pid].empty()) {
           BestEffortRemoveAll(backend_.get(), {new_files[pid]});
         } else {
-          BestEffortRemoveAll(backend_.get(), spills[surviving[pid]]);
+          BestEffortRemoveAll(backend_.get(), spill_paths(surviving[pid]));
         }
       }
       return first;

@@ -68,7 +68,8 @@ class PhysicalStore {
   };
 
   /// Executes `query` against the materialized layout: zone-map pruning,
-  /// then scan of the surviving partition files.
+  /// then scan of the surviving partition files (a single-query batch, so
+  /// the per-query and batched paths cannot diverge).
   Result<QueryExec> ExecuteQuery(const Query& query);
 
   /// Result of one batched execution: per-query counters (stream order) and
@@ -92,6 +93,10 @@ class PhysicalStore {
   /// Full reorganization into `to`: reads every current partition file
   /// (decompression included), re-partitions `table` rows, writes the new
   /// files. The returned timing covers read + assign + compress + write.
+  /// Every file is written in canonical row order — the order of
+  /// `to.partitioning().partitions[pid]` — so its bytes equal a fresh
+  /// MaterializeLayout of `to`, and per-partition tombstone masks
+  /// (LiveScanView) line up with it whatever layout the rows came from.
   Result<Timing> Reorganize(const Table& table, const LayoutInstance& to);
 
   /// Total bytes of the currently materialized files.
@@ -136,17 +141,13 @@ class PhysicalStore {
     std::vector<Delta> deltas;
   };
 
-  /// Executes `query` against a snapshot (thread-safe, read-only).
-  /// Implemented as a single-element batch, so the per-query and batched
-  /// paths cannot diverge. `live` follows the batched contract below.
-  Result<QueryExec> ExecuteQueryOnSnapshot(
-      const Snapshot& snapshot, const Query& query,
-      const LiveScanView* live = nullptr) const;
-
   /// Batch execution against an explicit snapshot (thread-safe, read-only);
   /// see ExecuteQueryBatch for the determinism contract. When the backend
-  /// implements BlockPrefetcher, partitions later queries of the batch need
-  /// are prefetched asynchronously while the earlier ones scan.
+  /// implements BlockPrefetcher, the zone-map-surviving partitions of
+  /// `queries[1..]` are prefetched asynchronously while the first query
+  /// scans — excluding the first query's own partitions, whose demand fetch
+  /// is imminent. Prefetch is advisory: results and counters never depend
+  /// on whether it happened, was dropped, or failed.
   ///
   /// With a non-null `live` view, every partition's match count is masked by
   /// its tombstone bitmap (one word-AND per 64 rows) and the view's delta
@@ -158,17 +159,6 @@ class PhysicalStore {
   Result<BatchExec> ExecuteQueryBatchOnSnapshot(
       const Snapshot& snapshot, const std::vector<Query>& queries,
       const LiveScanView* live = nullptr) const;
-
-  /// Asynchronously warms the zone-map-surviving partitions of
-  /// `queries[skip..]` into the backend's cache tier, excluding partitions
-  /// the first `skip` queries already touch (they are being scanned right
-  /// now — fetching them again would only duplicate work). No-op unless the
-  /// backend implements BlockPrefetcher. Purely advisory: query results and
-  /// counters never depend on whether a prefetch happened, was dropped, or
-  /// failed.
-  void PrefetchForQueries(const Snapshot& snapshot,
-                          const std::vector<Query>& queries,
-                          size_t skip = 0) const;
 
   /// Deletes files superseded by completed reorganizations. Call when no
   /// snapshot readers can still reference them.

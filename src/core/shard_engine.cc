@@ -6,12 +6,12 @@
 namespace oreo {
 namespace core {
 
-ShardEngine::ShardEngine(uint32_t shard_id, Table shard_table,
+ShardEngine::ShardEngine(uint32_t shard_id, const Table* shard_table,
                          const LayoutGenerator* generator, int time_column,
                          const OreoOptions& options)
-    : shard_id_(shard_id), table_(std::move(shard_table)) {
-  oreo_ = std::make_unique<Oreo>(&table_, generator, time_column, options);
-}
+    : shard_id_(shard_id),
+      oreo_(std::make_unique<Oreo>(shard_table, generator, time_column,
+                                   options)) {}
 
 Status ShardEngine::AttachPhysical(const std::string& dir,
                                    size_t num_threads) {
@@ -25,7 +25,8 @@ Status ShardEngine::AttachPhysical(const std::string& dir,
       WrapWithSharedCache(oreo_->options().shared_cache,
                           oreo_->options().storage_backend, shard_id_));
   const int current = oreo_->physical_state();
-  // base_table(), not table_: mutations (and folds) can precede the attach.
+  // base_table(), not the construction-time table: mutations (and folds)
+  // can precede the attach.
   Result<PhysicalStore::Timing> timing = store_->MaterializeLayout(
       oreo_->base_table(), oreo_->registry().Get(current));
   if (!timing.ok()) {

@@ -1,13 +1,14 @@
-// One shard's complete engine: the shard's slice of the table, its own
-// logical Oreo core (LayoutManager + D-UMTS state + StateRegistry), and an
-// optional on-disk PhysicalStore.
+// One shard's complete engine over the shard's rows (a slice the facade
+// owns, or the caller's whole table for one shard): its own logical Oreo
+// core (LayoutManager + D-UMTS state + StateRegistry) and an optional
+// PhysicalStore — the only place a store is attached to a core.
 //
 // The paper's online algorithm (Theorem IV.1) is per-table, so every shard
 // runs an *independent* MTS instance over its own sub-stream — the
 // worst-case competitive guarantee holds shard by shard, and shards never
-// exchange state. ShardedOreo owns N of these behind the routing facade; a
-// 1-shard engine over the whole table is bit-identical to a bare Oreo
-// (pinned by tests/sharded_equivalence_test.cc).
+// exchange state. ShardedOreo owns N >= 1 of these behind the routing
+// facade; a 1-shard engine over the whole table decides bit-identically to
+// a bare Oreo (pinned by tests/sharded_equivalence_test.cc).
 //
 // Physical mode: AttachPhysical materializes the engine's current layout
 // into a per-shard directory. The engine then tracks the materialized state,
@@ -30,15 +31,14 @@ namespace core {
 /// A per-shard Oreo + optional PhysicalStore composition.
 class ShardEngine {
  public:
-  /// `generator` must outlive the engine; `shard_table` is owned (moved in).
+  /// `shard_table` and `generator` must outlive the engine.
   /// `options.seed` must already be derived for this shard (ShardedOreo
   /// keeps shard 0 on the master seed so 1-shard runs replay bit-identically).
-  ShardEngine(uint32_t shard_id, Table shard_table,
+  ShardEngine(uint32_t shard_id, const Table* shard_table,
               const LayoutGenerator* generator, int time_column,
               const OreoOptions& options);
 
   uint32_t shard_id() const { return shard_id_; }
-  const Table& table() const { return table_; }
   Oreo& oreo() { return *oreo_; }
   const Oreo& oreo() const { return *oreo_; }
 
@@ -75,7 +75,6 @@ class ShardEngine {
 
  private:
   uint32_t shard_id_;
-  Table table_;
   std::unique_ptr<Oreo> oreo_;
   std::unique_ptr<PhysicalStore> store_;
   PhysicalStore::Snapshot snapshot_;

@@ -1,5 +1,6 @@
 #include "core/sharded_oreo.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/logging.h"
@@ -52,6 +53,14 @@ ShardedOreo::ShardedOreo(const Table* table, const LayoutGenerator* generator,
     : router_(BuildRouterFor(table, time_column, options)) {
   OREO_CHECK(generator != nullptr);
   std::vector<std::vector<uint32_t>> shard_rows = router_.SplitRows(*table);
+  // A single shard is the whole table: its engine reads the caller's table,
+  // which outlives the facade anyway, instead of a copy.
+  if (options.num_shards > 1) {
+    shard_tables_.reserve(options.num_shards);
+    for (const std::vector<uint32_t>& rows : shard_rows) {
+      shard_tables_.push_back(table->Take(rows));
+    }
+  }
   engines_.reserve(options.num_shards);
   weights_.reserve(options.num_shards);
   const double total_rows = static_cast<double>(table->num_rows());
@@ -72,13 +81,17 @@ ShardedOreo::ShardedOreo(const Table* table, const LayoutGenerator* generator,
     // engine configured exactly like a bare Oreo.
     if (options.num_shards > 1) shard_opts.num_threads = 1;
     engines_.push_back(std::make_unique<ShardEngine>(
-        s, table->Take(shard_rows[s]), generator, time_column, shard_opts));
+        s, shard_tables_.empty() ? table : &shard_tables_[s], generator,
+        time_column, shard_opts));
     weights_.push_back(total_rows > 0
                            ? static_cast<double>(shard_rows[s].size()) /
                                  total_rows
                            : 0.0);
   }
-  pool_ = std::make_unique<ThreadPool>(options.num_threads);
+  // The fan-out only ever runs one task per shard: more threads would idle
+  // (a 1-shard facade runs everything inline on the caller).
+  pool_ = std::make_unique<ThreadPool>(std::min(
+      ThreadPool::ResolveThreads(options.num_threads), options.num_shards));
 }
 
 ShardedOreo::ShardedStepResult ShardedOreo::StepSharded(const Query& query) {
@@ -276,70 +289,58 @@ Status ShardedOreo::AttachPhysical(const std::string& base_dir,
     OREO_RETURN_NOT_OK(engine->AttachPhysical(
         ShardDirName(base_dir, engine->shard_id()), store_threads));
   }
+  // One background rewriter per table by default, as in the paper (§III-B):
+  // shards queue behind it. A worker per shard only pays off when rewrites
+  // dominate; otherwise the extra threads idle and keep their heaps.
   reorg_pool_ = std::make_unique<ReorgPool>(
-      reorg_workers == 0 ? engines_.size() : reorg_workers);
+      reorg_workers == 0 ? 1 : reorg_workers);
   return Status::OK();
 }
 
 Result<PhysicalStore::BatchExec> ShardedOreo::ExecuteBatchPhysical(
     const std::vector<Query>& queries) {
   OREO_CHECK(reorg_pool_ != nullptr) << "call AttachPhysical first";
-  PhysicalStore::BatchExec batch;
   Stopwatch sw;
-  // Serial routing in stream order, then one flat work list of
-  // (shard, query) items in (stream order, shard order).
-  struct Item {
-    uint32_t shard;
-    size_t qi;
-  };
+  const size_t n = engines_.size();
+  // Serial routing in stream order: each shard's sub-batch keeps the stream
+  // order of the queries that touch it.
   std::vector<std::vector<uint32_t>> touched(queries.size());
-  std::vector<Item> items;
+  std::vector<std::vector<Query>> sub(n);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     touched[qi] = router_.ShardsForQuery(queries[qi]);
-    for (uint32_t s : touched[qi]) items.push_back(Item{s, qi});
+    for (uint32_t s : touched[qi]) sub[s].push_back(queries[qi]);
   }
-  // With a shared cache tier attached, ask each shard's store to warm the
-  // partitions its batch tail will scan while the batch head runs. Advisory:
-  // counters and results are identical with prefetch off.
-  if (engines_.front()->oreo().options().shared_cache != nullptr) {
-    std::vector<std::vector<Query>> per_shard(engines_.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      for (uint32_t s : touched[qi]) per_shard[s].push_back(queries[qi]);
-    }
-    for (size_t s = 0; s < engines_.size(); ++s) {
-      if (per_shard[s].size() < 2) continue;
-      ShardEngine& engine = *engines_[s];
-      engine.store()->PrefetchForQueries(engine.snapshot(), per_shard[s],
-                                         /*skip=*/1);
-    }
-  }
-  // Flat fan-out: every item scans one shard's surviving partitions against
-  // that shard's pinned snapshot, staging counters in its own slot.
-  std::vector<PhysicalStore::QueryExec> execs(items.size());
-  std::vector<Status> statuses(items.size());
-  pool_->ParallelFor(items.size(), [&](size_t i) {
-    ShardEngine& engine = *engines_[items[i].shard];
-    Result<PhysicalStore::QueryExec> exec =
-        engine.store()->ExecuteQueryOnSnapshot(
-            engine.snapshot(), queries[items[i].qi],
-            engine.oreo().live_scan_view());
+  // Shard-major fan-out: one batch scan per touched shard against its
+  // pinned snapshot. A shard's blocks stay resident in a shared cache while
+  // its whole sub-batch reads them, and the batch call warms the later
+  // queries' partitions while the first one scans.
+  std::vector<PhysicalStore::BatchExec> execs(n);
+  std::vector<Status> statuses(n);
+  pool_->ParallelFor(n, [&](size_t s) {
+    if (sub[s].empty()) return;
+    ShardEngine& engine = *engines_[s];
+    Result<PhysicalStore::BatchExec> exec =
+        engine.store()->ExecuteQueryBatchOnSnapshot(
+            engine.snapshot(), sub[s], engine.oreo().live_scan_view());
     if (!exec.ok()) {
-      statuses[i] = exec.status();
+      statuses[s] = exec.status();
       return;
     }
-    execs[i] = *exec;
+    execs[s] = std::move(*exec);
   });
   OREO_RETURN_NOT_OK(FirstError(statuses));
   // Serial reduction in stream order, shards ascending within a query.
+  PhysicalStore::BatchExec batch;
   batch.per_query.resize(queries.size());
-  size_t item = 0;
+  std::vector<size_t> cursor(n, 0);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     PhysicalStore::QueryExec& agg = batch.per_query[qi];
-    for (size_t t = 0; t < touched[qi].size(); ++t, ++item) {
-      agg.partitions_read += execs[item].partitions_read;
-      agg.rows_scanned += execs[item].rows_scanned;
-      agg.matches += execs[item].matches;
-      agg.bytes_read += execs[item].bytes_read;
+    for (uint32_t s : touched[qi]) {
+      const PhysicalStore::QueryExec& exec = execs[s].per_query[cursor[s]++];
+      agg.partitions_read += exec.partitions_read;
+      agg.rows_scanned += exec.rows_scanned;
+      agg.matches += exec.matches;
+      agg.bytes_read += exec.bytes_read;
     }
   }
   batch.seconds = sw.ElapsedSeconds();
@@ -430,34 +431,22 @@ int64_t ShardedOreo::num_switches() const {
 Result<PhysicalReplayResult> ShardedOreo::ReplayTrace(
     const EngineSimResult& sim, size_t stride, const std::string& dir,
     size_t num_threads, size_t batch_size) const {
-  // Every engine was built from the same options; shard 0's backend is the
-  // facade's backend.
-  return ShardedReplayPhysical(*this, sim, stride, dir, num_threads,
-                               batch_size,
-                               engine(0).oreo().options().storage_backend);
-}
-
-Result<PhysicalReplayResult> ShardedReplayPhysical(
-    const ShardedOreo& oreo, const ShardedSimResult& sim, size_t stride,
-    const std::string& dir, size_t num_threads, size_t batch_size,
-    std::shared_ptr<StorageBackend> backend) {
-  OREO_CHECK_EQ(sim.shards.size(), oreo.num_shards())
-      << "sim does not match this ShardedOreo";
-  OREO_CHECK_EQ(sim.shard_streams.size(), oreo.num_shards());
+  OREO_CHECK_EQ(sim.shards.size(), engines_.size())
+      << "sim does not match this engine";
+  OREO_CHECK_EQ(sim.shard_streams.size(), engines_.size());
   PhysicalReplayResult total;
-  for (size_t s = 0; s < oreo.num_shards(); ++s) {
-    const ShardEngine& engine = oreo.engine(s);
-    // Mirror the serving path: when the facade carries a shared cache, each
-    // shard's replay store reads through its own shard-charged view of it.
+  for (uint32_t s = 0; s < engines_.size(); ++s) {
+    const Oreo& core = engines_[s]->oreo();
+    // Mirror the serving path: each shard's replay store reads through its
+    // own shard-charged view of the shared cache, when there is one.
     OREO_ASSIGN_OR_RETURN(
         PhysicalReplayResult shard,
-        ReplayPhysical(engine.oreo().base_table(), engine.oreo().registry(),
-                       sim.shards[s], sim.shard_streams[s], stride,
-                       ShardDirName(dir, static_cast<uint32_t>(s)),
+        ReplayPhysical(core.base_table(), core.registry(), sim.shards[s],
+                       sim.shard_streams[s], stride, ShardDirName(dir, s),
                        num_threads, batch_size,
-                       WrapWithSharedCache(
-                           engine.oreo().options().shared_cache, backend,
-                           static_cast<uint32_t>(s))));
+                       WrapWithSharedCache(core.options().shared_cache,
+                                           core.options().storage_backend,
+                                           s)));
     total.query_seconds += shard.query_seconds;
     total.reorg_seconds += shard.reorg_seconds;
     total.num_switches += shard.num_switches;

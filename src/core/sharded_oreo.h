@@ -1,17 +1,18 @@
-// The sharded OREO facade: N independent per-shard engines behind one
-// router.
+// The OREO engine facade: N independent per-shard engines behind one
+// router. It is the only OreoEngine implementation — MakeEngine always
+// builds it, and `num_shards = 1` is simply one shard over the whole table.
 //
 // A ShardedOreo splits the table into `OreoOptions::num_shards` horizontal
 // shards (ShardRouter over `shard_column`, hash or range routing), runs one
-// full engine per shard (its own LayoutManager, D-UMTS instance and state
-// registry — see ShardEngine), and routes every query to exactly the shards
-// its routing-column predicates can touch. Range routing prunes shards like
-// a coarse zone map, so a selective query often runs on a single shard.
+// full engine per shard (its own logical Oreo core — LayoutManager, D-UMTS
+// instance and state registry — plus its physical store; see ShardEngine),
+// and routes every query to exactly the shards its routing-column
+// predicates can touch. Range routing prunes shards like a coarse zone map,
+// so a selective query often runs on a single shard.
 //
-// Determinism contract (extends PR 2/PR 3, pinned by
-// tests/sharded_equivalence_test.cc):
-//   - a 1-shard ShardedOreo is bit-identical to a bare Oreo — costs,
-//     switch decisions, decision traces, and replayed partition-file CRCs;
+// Determinism contract (pinned by tests/sharded_equivalence_test.cc):
+//   - a 1-shard facade is bit-identical to a bare logical Oreo — costs,
+//     switch decisions and decision traces;
 //   - N-shard runs are bit-identical across thread counts: decisions inside
 //     a shard are sequential in sub-stream order, shards are independent,
 //     and every fan-out stages per-slot results reduced serially in stream
@@ -27,11 +28,14 @@
 // and OPT by the same weight preserves every ratio, so the worst-case
 // guarantee survives sharding shard by shard.
 //
-// Physical mode: AttachPhysical gives every engine an on-disk store under
-// `base_dir/shard_NNN`. Batches execute against pinned per-shard snapshots
-// as one flat ParallelFor over (shard, query) work items; a shared
-// ReorgPool runs at most one background rewrite per shard (concurrent
-// across shards), and SyncPhysical reconciles snapshots and submits newly
+// Physical mode (the paper's REORGANIZER, §III-B): AttachPhysical gives
+// every engine a store under `base_dir/shard_NNN`. A batch executes
+// shard-major: one PhysicalStore::ExecuteQueryBatchOnSnapshot call per
+// touched shard against its pinned snapshot, fanned out over shards, so a
+// shard's blocks stay cache-resident while its whole sub-batch reads them.
+// A ReorgPool runs at most one background rewrite per shard — one at a
+// time by default, concurrently across shards when AttachPhysical asks for
+// more workers — and SyncPhysical reconciles snapshots and submits newly
 // needed rewrites at batch boundaries.
 #ifndef OREO_CORE_SHARDED_OREO_H_
 #define OREO_CORE_SHARDED_OREO_H_
@@ -50,11 +54,11 @@ namespace oreo {
 namespace core {
 
 /// Per-shard traces plus merged accounting from ShardedOreo::Run — the
-/// engine-level result shape (the unsharded engine fills one slot).
+/// engine-level result shape (a 1-shard facade fills one slot).
 using ShardedSimResult = EngineSimResult;
 
-/// Online data-layout reorganization over a horizontally sharded table,
-/// behind the OreoEngine interface.
+/// Online data-layout reorganization over a horizontally sharded table
+/// (one shard or many), behind the OreoEngine interface.
 class ShardedOreo : public OreoEngine {
  public:
   /// `table` and `generator` must outlive this object. Shard engines are
@@ -143,16 +147,20 @@ class ShardedOreo : public OreoEngine {
 
   /// Creates one PhysicalStore per shard under `base_dir/shard_NNN` (through
   /// OreoOptions::storage_backend), materializes every engine's current
-  /// layout, and starts the shared reorganization pool (`reorg_workers`
-  /// threads, 0 = one per shard).
+  /// layout, and starts the reorganization pool (`reorg_workers` threads;
+  /// 0 = one, the paper's single background process per table — shards
+  /// then rewrite one after another).
   Status AttachPhysical(const std::string& base_dir, size_t store_threads = 1,
                         size_t reorg_workers = 0) override;
   bool has_physical() const override { return reorg_pool_ != nullptr; }
 
-  /// Executes a batch against the pinned per-shard snapshots: one flat
-  /// ParallelFor over (shard, query) work items, per-query counters summed
-  /// across touched shards and reduced serially in stream order. Counter
-  /// totals (matches above all) are layout- and thread-count-invariant.
+  /// Executes a batch against the pinned per-shard snapshots, shard-major:
+  /// each touched shard scans its sub-batch (stream order) in one
+  /// ExecuteQueryBatchOnSnapshot call — which also prefetches the later
+  /// queries' partitions when the backend can — and the calls fan out over
+  /// shards. Per-query counters are summed across touched shards and reduced
+  /// serially in stream order. Counter totals (matches above all) are
+  /// layout- and thread-count-invariant.
   Result<PhysicalStore::BatchExec> ExecuteBatchPhysical(
       const std::vector<Query>& queries) override;
 
@@ -160,13 +168,17 @@ class ShardedOreo : public OreoEngine {
   /// (refresh snapshot, vacuum superseded files, update the materialized
   /// state) and submits a rewrite for every shard whose logical serving
   /// layout moved ahead of its materialized one. At most one rewrite is in
-  /// flight per shard; shards rewrite concurrently on the pool. Returns the
-  /// number of rewrites submitted.
+  /// flight per shard; shards share the pool's workers. Returns the number
+  /// of rewrites submitted.
   size_t SyncPhysical() override;
 
   /// Blocks until no shard has a rewrite queued or running, then reconciles.
   void WaitForReorgs() override;
 
+  /// Replays per-shard decision traces physically: every shard runs
+  /// ReplayPhysical over its own sub-stream, trace and registry, into
+  /// `dir/shard_NNN` through its own view of the storage backend (and of the
+  /// shared cache, when set); counters are summed across shards.
   Result<PhysicalReplayResult> ReplayTrace(const EngineSimResult& sim,
                                            size_t stride,
                                            const std::string& dir,
@@ -205,26 +217,18 @@ class ShardedOreo : public OreoEngine {
 
   ShardRouter router_;
   mutable internal::SingleCallerGuard caller_guard_;
+  std::vector<Table> shard_tables_;  // per-shard rows; empty for 1 shard
   std::vector<std::unique_ptr<ShardEngine>> engines_;
   std::vector<double> weights_;
   uint64_t ingest_version_ = 0;  ///< facade-level ingest batch counter
-  std::unique_ptr<ThreadPool> pool_;  // batch fan-out across shards
+  // Batch fan-out across shards; never more threads than shards.
+  std::unique_ptr<ThreadPool> pool_;
   // Declared after the engines so it is destroyed first: in-flight rewrite
   // callbacks touch engines/stores and must never outlive them.
   std::unique_ptr<ReorgPool> reorg_pool_;
 };
 
-/// Replays per-shard decision traces physically: every shard runs the
-/// legacy ReplayPhysical over its own sub-stream, trace and registry, into
-/// `dir/shard_NNN`; counters are summed across shards. `sim` must come from
-/// ShardedOreo::Run(..., record_trace=true) on `oreo`. A 1-shard replay
-/// leaves files bit-identical to ReplayPhysical of the unsharded trace.
-Result<PhysicalReplayResult> ShardedReplayPhysical(
-    const ShardedOreo& oreo, const ShardedSimResult& sim, size_t stride,
-    const std::string& dir, size_t num_threads = 0, size_t batch_size = 1,
-    std::shared_ptr<StorageBackend> backend = nullptr);
-
-/// Shard subdirectory name used by AttachPhysical and ShardedReplayPhysical.
+/// Shard subdirectory name used by AttachPhysical and ReplayTrace.
 std::string ShardDirName(const std::string& base_dir, uint32_t shard);
 
 }  // namespace core

@@ -62,17 +62,6 @@ double FractionAccessed(const Partitioning& partitioning, const Query& query) {
          static_cast<double>(partitioning.total_rows);
 }
 
-double FractionAccessedFromMetadata(const PartitionMetadata& meta,
-                                    const Query& query) {
-  if (meta.total_rows == 0) return 0.0;
-  uint64_t accessed = 0;
-  for (const ZoneMap& zm : meta.zones) {
-    if (!query.CanSkipPartition(zm)) accessed += zm.num_rows;
-  }
-  return static_cast<double>(accessed) /
-         static_cast<double>(meta.total_rows);
-}
-
 std::vector<uint32_t> PartitionsToRead(const Partitioning& partitioning,
                                        const Query& query) {
   std::vector<uint32_t> out;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "query/predicate.h"
-#include "storage/metadata_io.h"
 #include "storage/partitioning.h"
 
 namespace oreo {
@@ -44,11 +43,6 @@ double EstimateSelectivity(const Table& sample, const Query& query);
 /// The paper's query cost c(s, q): fraction of rows residing in partitions
 /// that zone-map pruning cannot skip, in [0, 1].
 double FractionAccessed(const Partitioning& partitioning, const Query& query);
-
-/// c(s, q) evaluated from persisted partition metadata alone — identical to
-/// FractionAccessed over the original partitioning.
-double FractionAccessedFromMetadata(const PartitionMetadata& meta,
-                                    const Query& query);
 
 /// Ids of partitions that must be read for `query` (the "BID list").
 std::vector<uint32_t> PartitionsToRead(const Partitioning& partitioning,

@@ -11,8 +11,6 @@
 #include <functional>
 #include <utility>
 
-#include "storage/shared_cache.h"
-
 namespace oreo {
 
 namespace fs = std::filesystem;
@@ -181,79 +179,6 @@ size_t InMemoryBackend::num_objects() const {
   return total;
 }
 
-// ----------------------------------------------------------- cached ------
-
-// CachedBackend is a single-tenant view of SharedBlockCache: the cache/
-// coalescing/staleness machinery (including the mutation bracket that closes
-// the doomed-fetch window) lives in one place and every tenant count is
-// charged to shard 0.
-
-CachedBackend::CachedBackend(std::shared_ptr<StorageBackend> base,
-                             CachedBackendOptions options)
-    : base_(std::move(base)), options_(options) {
-  SharedBlockCacheOptions cache_options;
-  cache_options.capacity_bytes = options_.capacity_bytes;
-  cache_options.prefetch_threads = 0;
-  cache_ = std::make_unique<SharedBlockCache>(cache_options);
-}
-
-CachedBackend::~CachedBackend() = default;
-
-Result<std::string> CachedBackend::ReadBlock(const std::string& path) {
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  Result<std::string> result = cache_->Read(0, base_.get(), path);
-  if (result.ok()) {
-    stats_.read_bytes.fetch_add(result->size(), std::memory_order_relaxed);
-  }
-  return result;
-}
-
-Status CachedBackend::AtomicWriteBlock(const std::string& path,
-                                       const std::string& data, bool sync) {
-  // Write-through: the base stays authoritative. The mutation bracket
-  // invalidates before the base write so no reader can re-cache the old
-  // bytes, dooms any in-flight fetch, and keeps the path poisoned until the
-  // base write returns so a fetch racing it cannot repopulate stale bytes.
-  stats_.RecordWrite(data.size());
-  cache_->BeginMutation(path);
-  Status status = base_->AtomicWriteBlock(path, data, sync);
-  cache_->EndMutation(path);
-  return status;
-}
-
-Result<std::vector<std::string>> CachedBackend::List(const std::string& dir) {
-  return base_->List(dir);
-}
-
-Status CachedBackend::Remove(const std::string& path) {
-  stats_.RecordRemove();
-  cache_->BeginMutation(path);
-  Status status = base_->Remove(path);
-  cache_->EndMutation(path);
-  return status;
-}
-
-Status CachedBackend::CreateDir(const std::string& dir) {
-  return base_->CreateDir(dir);
-}
-
-BackendStats CachedBackend::stats() const { return stats_.snapshot(); }
-
-CachedBackend::CacheStats CachedBackend::cache_stats() const {
-  SharedCacheStats s = cache_->stats();
-  CacheStats out;
-  out.hits = s.hits;
-  out.misses = s.misses;
-  out.coalesced = s.coalesced;
-  out.evictions = s.evictions;
-  out.invalidations = s.invalidations;
-  out.hit_bytes = s.hit_bytes;
-  out.miss_bytes = s.miss_bytes;
-  out.resident_bytes = s.resident_bytes;
-  out.resident_objects = s.resident_objects;
-  return out;
-}
-
 // ----------------------------------------------------------- factories ---
 
 std::shared_ptr<StorageBackend> MakePosixBackend() {
@@ -262,11 +187,6 @@ std::shared_ptr<StorageBackend> MakePosixBackend() {
 
 std::shared_ptr<StorageBackend> MakeInMemoryBackend() {
   return std::make_shared<InMemoryBackend>();
-}
-
-std::shared_ptr<CachedBackend> MakeCachedBackend(
-    std::shared_ptr<StorageBackend> base, CachedBackendOptions options) {
-  return std::make_shared<CachedBackend>(std::move(base), options);
 }
 
 StorageBackend* DefaultPosixBackend() {

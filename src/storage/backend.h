@@ -95,7 +95,7 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /// Implementation name ("posix", "inmem", "cached(<base>)", ...).
+  /// Implementation name ("posix", "inmem", "sharedcache#<shard>(<base>)", ...).
   virtual std::string name() const = 0;
 
   /// Reads the complete object at `path`.
@@ -173,81 +173,11 @@ class InMemoryBackend : public StorageBackend {
   internal::AtomicBackendStats stats_;
 };
 
-struct CachedBackendOptions {
-  /// Total bytes of cached objects; least-recently-used objects are evicted
-  /// when an insertion would exceed it. Objects larger than the capacity are
-  /// served but never cached.
-  size_t capacity_bytes = size_t{64} << 20;
-};
-
-/// Write-through caching decorator: a bounded block cache with strict-LRU
-/// eviction plus single-flight read coalescing (concurrent reads of the same
-/// path share one base fetch, attacking the decompress-whole-partition-
-/// per-batch read amplification).
-///
-/// Determinism: for a fixed multiset of reads with no evictions, hit/miss
-/// totals are thread-count invariant — each distinct path is fetched from
-/// the base exactly once (the miss); every other read of it is a hit,
-/// whether it waited on the in-flight fetch or found the cached bytes.
-/// Eviction order is strict LRU over the mutex-serialized access sequence.
-///
-/// Staleness: AtomicWriteBlock and Remove invalidate the cached object,
-/// doom any in-flight fetch of the same path (its result is returned to
-/// waiters but never inserted), and keep the path marked as mutating until
-/// the base op returns, so a fetch started *during* the base mutation is
-/// born doomed and cannot repopulate the cache with pre-write bytes. A read
-/// that begins after a write returns always observes the new bytes.
-///
-/// Implementation: a single-tenant view over SharedBlockCache (shard 0);
-/// multi-store deployments share one SharedBlockCache via SharedCacheBackend
-/// instead (storage/shared_cache.h).
-class SharedBlockCache;
-class CachedBackend : public StorageBackend {
- public:
-  explicit CachedBackend(std::shared_ptr<StorageBackend> base,
-                         CachedBackendOptions options = {});
-  ~CachedBackend() override;
-
-  std::string name() const override { return "cached(" + base_->name() + ")"; }
-  Result<std::string> ReadBlock(const std::string& path) override;
-  Status AtomicWriteBlock(const std::string& path, const std::string& data,
-                          bool sync) override;
-  Result<std::vector<std::string>> List(const std::string& dir) override;
-  Status Remove(const std::string& path) override;
-  Status CreateDir(const std::string& dir) override;
-  Status Sync() override { return base_->Sync(); }
-  BackendStats stats() const override;
-
-  struct CacheStats {
-    uint64_t hits = 0;        ///< reads served without a base fetch of their own
-    uint64_t misses = 0;      ///< reads that fetched from the base backend
-    uint64_t coalesced = 0;   ///< hits that waited on an in-flight fetch
-    uint64_t evictions = 0;   ///< objects dropped by the LRU bound
-    uint64_t invalidations = 0;  ///< objects dropped by writes/removes
-    uint64_t hit_bytes = 0;   ///< bytes served from cache (base reads avoided)
-    uint64_t miss_bytes = 0;  ///< bytes fetched from the base
-    uint64_t resident_bytes = 0;
-    uint64_t resident_objects = 0;
-  };
-  CacheStats cache_stats() const;
-
-  StorageBackend* base() const { return base_.get(); }
-  size_t capacity_bytes() const { return options_.capacity_bytes; }
-
- private:
-  std::shared_ptr<StorageBackend> base_;
-  CachedBackendOptions options_;
-  std::unique_ptr<SharedBlockCache> cache_;  // private, single tenant
-  internal::AtomicBackendStats stats_;
-};
-
 std::shared_ptr<StorageBackend> MakePosixBackend();
 std::shared_ptr<StorageBackend> MakeInMemoryBackend();
-std::shared_ptr<CachedBackend> MakeCachedBackend(
-    std::shared_ptr<StorageBackend> base, CachedBackendOptions options = {});
 
 /// Process-wide PosixFileBackend used by the legacy path-based helpers
-/// (WriteBlockFile / ReadMetadataFile / ...) and by components constructed
+/// (WriteBlockFile / ReadBlockFile) and by components constructed
 /// without an explicit backend.
 StorageBackend* DefaultPosixBackend();
 

@@ -1,13 +1,14 @@
-// Cross-shard tiered block cache. PR 5 gave every store a private
-// CachedBackend; with many shards over one slow remote tier that splinters
-// the memory budget and re-fetches the same object once per shard. The
-// SharedBlockCache holds ONE global budget with per-shard accounting and
-// single-flight dedup across every shard view, plus an async prefetch
-// executor that warms zone-map-surviving partitions for the next queries of
-// a batch while the current ones scan.
+// Cross-shard tiered block cache. A private cache per store would splinter
+// the memory budget over many shards on one slow remote tier and re-fetch
+// the same object once per shard. The SharedBlockCache holds ONE global
+// budget with per-shard accounting and single-flight dedup across every
+// shard view, plus an async prefetch executor that warms zone-map-surviving
+// partitions for the next queries of a batch while the current ones scan.
 //
-// Staleness contract (shared with CachedBackend, which is a single-tenant
-// view of this class): a mutation of `path` brackets its base op with
+// A single store's private cache is simply one view:
+// MakeSharedCacheBackend(MakeSharedBlockCache(options), base, /*shard=*/0).
+//
+// Staleness contract: a mutation of `path` brackets its base op with
 // BeginMutation/EndMutation. BeginMutation drops the cached object and dooms
 // any in-flight fetch; every fetch started while a mutation is active is
 // *born doomed* — its bytes are served to the reader whose read legitimately
@@ -89,8 +90,8 @@ struct ShardCacheStats {
   uint64_t prefetch_fetches = 0;
 };
 
-/// The shared tier itself. Thread-safe; shard views (SharedCacheBackend,
-/// CachedBackend) route every cacheable op through it.
+/// The shared tier itself. Thread-safe; shard views (SharedCacheBackend)
+/// route every cacheable op through it.
 class SharedBlockCache {
  public:
   explicit SharedBlockCache(SharedBlockCacheOptions options = {});

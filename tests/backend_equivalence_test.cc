@@ -8,8 +8,9 @@
 //   2. Live streaming (AttachPhysical + RunBatch + ExecuteBatchPhysical +
 //      SyncPhysical with background rewrites) returns ground-truth matches
 //      on every backend and thread count.
-//   3. CachedBackend on/off is result-identical while measurably reducing
-//      the bytes fetched from the base backend (read amplification).
+//   3. A block cache (one SharedCacheBackend view) on/off is
+//      result-identical while measurably reducing the bytes fetched from
+//      the base backend (read amplification).
 //
 // Runs under the TSan CI job (label `slow`).
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "core/oreo.h"
 #include "core/sharded_oreo.h"
 #include "layout/qdtree_layout.h"
+#include "storage/shared_cache.h"
 #include "test_util.h"
 
 namespace oreo {
@@ -224,7 +226,7 @@ TEST(BackendEquivalenceTest, StreamingMatchesGroundTruthOnEveryBackend) {
 // The cache read-amplification contract is measured on the fully
 // deterministic replay path (streaming reorg timing could legally vary the
 // number of rewrites, and with it the raw read totals).
-TEST(BackendEquivalenceTest, CachedBackendCutsBaseReadsWithoutChangingResults) {
+TEST(BackendEquivalenceTest, BlockCacheCutsBaseReadsWithoutChangingResults) {
   QdTreeGenerator gen;
   Table t = testutil::MakeEventTable(kRows, kSeed);
   std::vector<Query> stream = TwoPhaseStream();
@@ -267,8 +269,8 @@ TEST(BackendEquivalenceTest, CachedBackendCutsBaseReadsWithoutChangingResults) {
   CacheRun uncached = run(plain, plain.get(), "off");
   ASSERT_GT(uncached.num_switches, 0) << "fixture too tame";
 
-  std::shared_ptr<CachedBackend> cached =
-      MakeCachedBackend(MakeInMemoryBackend());
+  std::shared_ptr<SharedCacheBackend> cached = MakeSharedCacheBackend(
+      MakeSharedBlockCache(), MakeInMemoryBackend(), /*shard=*/0);
   CacheRun with_cache = run(cached, cached->base(), "on");
 
   // Result-identical: counters and the final partition bytes agree bit for
@@ -282,7 +284,7 @@ TEST(BackendEquivalenceTest, CachedBackendCutsBaseReadsWithoutChangingResults) {
   // And the cache actually absorbed reads: the base backend served
   // measurably fewer bytes than the uncached run's backend did for the
   // exact same (deterministic) operation sequence.
-  CachedBackend::CacheStats stats = cached->cache_stats();
+  SharedCacheStats stats = cached->cache()->stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_LT(with_cache.base_read_bytes, uncached.base_read_bytes)
       << "the block cache never reduced base-backend read amplification";

@@ -1,17 +1,15 @@
 // StorageBackend unit wall: the interface contract (atomic publish, list,
-// remove, stats) for the posix and in-memory implementations, the
-// CachedBackend decorator (hit/miss determinism, LRU eviction, staleness
-// after writes), and the PhysicalStore failure contract (a failed
-// materialization or reorganization cleans up every object it wrote — no
-// torn partition files) proved with a fault-injecting backend test double.
+// remove, stats) for the posix and in-memory implementations, and the
+// PhysicalStore failure contract (a failed materialization or
+// reorganization cleans up every object it wrote — no torn partition files)
+// proved with a fault-injecting backend test double. The block-cache views
+// are tested in shared_cache_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/physical.h"
@@ -19,7 +17,6 @@
 #include "query/query.h"
 #include "storage/backend.h"
 #include "storage/block.h"
-#include "storage/metadata_io.h"
 #include "test_util.h"
 
 namespace oreo {
@@ -72,9 +69,6 @@ TEST(StorageBackendTest, RoundTripListRemove) {
 
 TEST(StorageBackendTest, BlockAndMetadataBytesAreBackendInvariant) {
   Table t = testutil::MakeBlockTable(500, 7);
-  LayoutInstance inst = testutil::MakeSortedInstance(t, 1, 4, "by_ts", 3);
-  PartitionMetadata meta =
-      MetadataFrom(t.schema(), inst.partitioning(), "by_ts");
 
   std::shared_ptr<StorageBackend> posix = MakePosixBackend();
   std::shared_ptr<StorageBackend> inmem = MakeInMemoryBackend();
@@ -84,280 +78,16 @@ TEST(StorageBackendTest, BlockAndMetadataBytesAreBackendInvariant) {
   for (auto& backend : {posix, inmem}) {
     ASSERT_TRUE(
         WriteBlockTo(backend.get(), dir + "/t.blk", t, /*sync=*/true).ok());
-    ASSERT_TRUE(WriteMetadataTo(backend.get(), dir + "/t.meta", meta).ok());
   }
   EXPECT_EQ(testutil::BackendCrc(*posix, dir + "/t.blk"),
             testutil::BackendCrc(*inmem, dir + "/t.blk"))
       << "posix and in-memory block bytes diverged";
-  EXPECT_EQ(testutil::BackendCrc(*posix, dir + "/t.meta"),
-            testutil::BackendCrc(*inmem, dir + "/t.meta"));
 
-  // Both round-trip to the same table / metadata.
+  // Both round-trip to the same table.
   for (auto& backend : {posix, inmem}) {
     Result<Table> back = ReadBlockFrom(backend.get(), dir + "/t.blk");
     ASSERT_TRUE(back.ok());
     testutil::ExpectTablesEqual(t, *back);
-    Result<PartitionMetadata> m =
-        ReadMetadataFrom(backend.get(), dir + "/t.meta");
-    ASSERT_TRUE(m.ok());
-    EXPECT_EQ(m->total_rows, meta.total_rows);
-    EXPECT_EQ(m->layout_name, "by_ts");
-  }
-}
-
-// ------------------------------------------------------------ cached -----
-
-TEST(CachedBackendTest, HitMissAndInvalidation) {
-  auto cached = MakeCachedBackend(MakeInMemoryBackend());
-  const std::string path = "cache_unit/a.blk";
-
-  ASSERT_TRUE(cached->AtomicWriteBlock(path, "v1", false).ok());
-  auto r1 = cached->ReadBlock(path);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(*r1, "v1");
-  auto r2 = cached->ReadBlock(path);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(*r2, "v1");
-  CachedBackend::CacheStats stats = cached->cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.hit_bytes, 2u);
-
-  // A write invalidates: the next read must see the new bytes (a miss).
-  ASSERT_TRUE(cached->AtomicWriteBlock(path, "v2!", false).ok());
-  auto r3 = cached->ReadBlock(path);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(*r3, "v2!") << "cache served stale bytes after a write";
-  stats = cached->cache_stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_GE(stats.invalidations, 1u);
-
-  // Remove invalidates too; the read then fails like the base would.
-  ASSERT_TRUE(cached->Remove(path).ok());
-  EXPECT_FALSE(cached->ReadBlock(path).ok());
-}
-
-TEST(CachedBackendTest, StrictLruEvictionNeverServesWrongBytes) {
-  CachedBackendOptions opts;
-  opts.capacity_bytes = 8;  // fits exactly two 4-byte objects
-  auto cached = MakeCachedBackend(MakeInMemoryBackend(), opts);
-  ASSERT_TRUE(cached->AtomicWriteBlock("ev/a", "aaaa", false).ok());
-  ASSERT_TRUE(cached->AtomicWriteBlock("ev/b", "bbbb", false).ok());
-  ASSERT_TRUE(cached->AtomicWriteBlock("ev/c", "cccc", false).ok());
-
-  EXPECT_EQ(*cached->ReadBlock("ev/a"), "aaaa");  // miss, cache {a}
-  EXPECT_EQ(*cached->ReadBlock("ev/b"), "bbbb");  // miss, cache {b, a}
-  EXPECT_EQ(*cached->ReadBlock("ev/a"), "aaaa");  // hit, LRU order {a, b}
-  EXPECT_EQ(*cached->ReadBlock("ev/c"), "cccc");  // miss, evicts b
-  CachedBackend::CacheStats stats = cached->cache_stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.resident_objects, 2u);
-  EXPECT_EQ(stats.resident_bytes, 8u);
-
-  EXPECT_EQ(*cached->ReadBlock("ev/b"), "bbbb");  // miss again (was evicted)
-  EXPECT_EQ(cached->cache_stats().misses, 4u);
-  EXPECT_EQ(cached->cache_stats().hits, 1u);
-
-  // An object larger than the whole cache is served but never cached.
-  ASSERT_TRUE(
-      cached->AtomicWriteBlock("ev/huge", "123456789", false).ok());
-  EXPECT_EQ(*cached->ReadBlock("ev/huge"), "123456789");
-  EXPECT_EQ(*cached->ReadBlock("ev/huge"), "123456789");
-  EXPECT_EQ(cached->cache_stats().misses, 6u) << "oversized object cached";
-  EXPECT_LE(cached->cache_stats().resident_bytes, 8u);
-}
-
-// Hit/miss accounting is thread-count invariant: one miss per distinct
-// partition, everything else hits (coalesced or cached), regardless of how
-// the pool interleaves the scan fan-out.
-TEST(CachedBackendTest, HitMissAccountingIsThreadCountInvariant) {
-  const uint64_t seed = 19;
-  Table t = testutil::MakeEventTable(3000, seed);
-  LayoutInstance by_ts = testutil::MakeSortedInstance(t, 0, 12, "by_ts", 3);
-  std::vector<Query> queries =
-      testutil::MakeRangeWorkload(0, 3000, 400, 24, seed + 1);
-  queries.push_back(Query{});  // full scan: touches every partition
-  queries.push_back(Query{});
-
-  struct Counts {
-    uint64_t hits, misses, hit_bytes, miss_bytes;
-  };
-  std::vector<Counts> runs;
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    auto cached = MakeCachedBackend(MakeInMemoryBackend());
-    std::string dir =
-        testutil::ScratchDir("cache_det_" + std::to_string(threads));
-    core::PhysicalStore store(dir, threads, cached);
-    ASSERT_TRUE(store.MaterializeLayout(t, by_ts).ok());
-    auto exec = store.ExecuteQueryBatch(queries);
-    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-    CachedBackend::CacheStats stats = cached->cache_stats();
-    EXPECT_GT(stats.hits, 0u);
-    EXPECT_GT(stats.misses, 0u);
-    // One miss per distinct partition: the full scans touch every
-    // partition, and the batch never fetches one from the base twice.
-    EXPECT_EQ(stats.misses, store.GetSnapshot().files.size());
-    runs.push_back(Counts{stats.hits, stats.misses, stats.hit_bytes,
-                          stats.miss_bytes});
-  }
-  EXPECT_EQ(runs[0].hits, runs[1].hits) << "hit count depends on threads";
-  EXPECT_EQ(runs[0].misses, runs[1].misses);
-  EXPECT_EQ(runs[0].hit_bytes, runs[1].hit_bytes);
-  EXPECT_EQ(runs[0].miss_bytes, runs[1].miss_bytes);
-}
-
-// Test double: forwards to a wrapped backend, but reads of `gated_path`
-// fetch their bytes and then block until Open() — freezing an in-flight
-// fetch at the point where it holds possibly-stale data.
-class GatedReadBackend : public StorageBackend {
- public:
-  GatedReadBackend(std::shared_ptr<StorageBackend> base,
-                   std::string gated_path)
-      : base_(std::move(base)), gated_path_(std::move(gated_path)) {}
-
-  std::string name() const override { return "gated(" + base_->name() + ")"; }
-  Result<std::string> ReadBlock(const std::string& path) override {
-    Result<std::string> result = base_->ReadBlock(path);
-    if (path == gated_path_) {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++blocked_;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return open_; });
-    }
-    return result;
-  }
-  Status AtomicWriteBlock(const std::string& path, const std::string& data,
-                          bool sync) override {
-    return base_->AtomicWriteBlock(path, data, sync);
-  }
-  Result<std::vector<std::string>> List(const std::string& dir) override {
-    return base_->List(dir);
-  }
-  Status Remove(const std::string& path) override {
-    return base_->Remove(path);
-  }
-  Status CreateDir(const std::string& dir) override {
-    return base_->CreateDir(dir);
-  }
-  Status Sync() override { return base_->Sync(); }
-  BackendStats stats() const override { return base_->stats(); }
-
-  void WaitUntilBlocked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return blocked_ > 0; });
-  }
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::shared_ptr<StorageBackend> base_;
-  std::string gated_path_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int blocked_ = 0;
-  bool open_ = false;
-};
-
-// A reader that coalesces onto a fetch doomed by a completed write must not
-// be served the pre-write bytes (the fetcher itself may keep them: its read
-// overlapped the write).
-TEST(CachedBackendTest, CoalescedReadAfterWriteNeverSeesStaleBytes) {
-  const std::string path = "gate/p.blk";
-  auto gated =
-      std::make_shared<GatedReadBackend>(MakeInMemoryBackend(), path);
-  auto cached = MakeCachedBackend(gated);
-  ASSERT_TRUE(cached->AtomicWriteBlock(path, "v1", false).ok());
-
-  std::string first_read;
-  std::thread fetcher([&] {
-    auto r = cached->ReadBlock(path);
-    ASSERT_TRUE(r.ok());
-    first_read = *r;
-  });
-  gated->WaitUntilBlocked();  // the fetch holds "v1" and is in flight
-
-  // The write completes while the fetch is frozen: it dooms the fetch.
-  ASSERT_TRUE(cached->AtomicWriteBlock(path, "v2", false).ok());
-
-  // A reader starting strictly after the write. Give it time to coalesce
-  // onto the doomed fetch before the gate opens (if it arrives later it
-  // reads fresh anyway — the assertion is valid either way).
-  std::string second_read;
-  std::thread late_reader([&] {
-    auto r = cached->ReadBlock(path);
-    ASSERT_TRUE(r.ok());
-    second_read = *r;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  gated->Open();
-  fetcher.join();
-  late_reader.join();
-
-  EXPECT_EQ(first_read, "v1");  // overlapped the write: old bytes are legal
-  EXPECT_EQ(second_read, "v2")
-      << "a read that began after the write was served stale bytes";
-  // And the doomed bytes were never cached.
-  auto r = cached->ReadBlock(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "v2");
-}
-
-// A reorganization swaps every partition; the cache must serve the new
-// layout's bytes afterwards (on/off runs agree query by query).
-TEST(CachedBackendTest, CacheOnOffIsResultIdenticalAcrossReorganization) {
-  const uint64_t seed = 23;
-  Table t = testutil::MakeEventTable(2500, seed);
-  LayoutInstance by_ts = testutil::MakeSortedInstance(t, 0, 10, "by_ts", 3);
-  LayoutInstance by_qty = testutil::MakeSortedInstance(t, 1, 10, "by_qty", 3);
-  std::vector<Query> queries =
-      testutil::MakeRangeWorkload(1, 1000, 120, 20, seed + 1);
-  queries.push_back(Query{});
-
-  struct RunResult {
-    std::vector<uint64_t> matches_before, matches_after;
-    std::vector<uint32_t> crcs_after;
-  };
-  auto run = [&](std::shared_ptr<StorageBackend> backend,
-                 const std::string& tag) {
-    RunResult r;
-    core::PhysicalStore store(testutil::ScratchDir(tag), /*num_threads=*/4,
-                              std::move(backend));
-    EXPECT_TRUE(store.MaterializeLayout(t, by_ts).ok());
-    auto before = store.ExecuteQueryBatch(queries);
-    EXPECT_TRUE(before.ok());
-    for (const auto& exec : before->per_query) {
-      r.matches_before.push_back(exec.matches);
-    }
-    EXPECT_TRUE(store.Reorganize(t, by_qty).ok());
-    store.Vacuum();
-    auto after = store.ExecuteQueryBatch(queries);
-    EXPECT_TRUE(after.ok());
-    for (const auto& exec : after->per_query) {
-      r.matches_after.push_back(exec.matches);
-    }
-    r.crcs_after = testutil::PartitionCrcs(store);
-    return r;
-  };
-
-  RunResult plain = run(MakeInMemoryBackend(), "cache_onoff_plain");
-  auto cached = MakeCachedBackend(MakeInMemoryBackend());
-  RunResult with_cache = run(cached, "cache_onoff_cached");
-
-  EXPECT_EQ(plain.matches_before, with_cache.matches_before);
-  EXPECT_EQ(plain.matches_after, with_cache.matches_after)
-      << "cache served stale partitions across the reorganization";
-  EXPECT_EQ(plain.crcs_after, with_cache.crcs_after);
-  EXPECT_GT(cached->cache_stats().hits, 0u);
-  EXPECT_GT(cached->cache_stats().invalidations, 0u)
-      << "the reorganization never invalidated a cached partition";
-
-  // The ground truth: every query's matches against the raw table.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(plain.matches_after[i], CountMatches(t, queries[i]))
-        << "query " << i;
   }
 }
 

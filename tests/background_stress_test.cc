@@ -1,11 +1,11 @@
-// Concurrency stress for the background reorganizer: a worker thread keeps
-// rewriting the store into alternating layouts while foreground threads
-// hammer GetSnapshot / ExecuteQueryOnSnapshot / busy() / MaterializedBytes.
-// Results must stay correct throughout — every snapshot query sees exactly
-// the matches the table implies, no matter where the swap lands. Run under
-// -DOREO_SANITIZE=thread this doubles as the race detector for the whole
-// PhysicalStore + ThreadPool + BackgroundReorganizer stack (the TSan CI job
-// does exactly that).
+// Concurrency stress for the background reorganizer (ReorgPool): a worker
+// thread keeps rewriting the store into alternating layouts while
+// foreground threads hammer GetSnapshot / ExecuteQueryBatchOnSnapshot /
+// busy() / MaterializedBytes. Results must stay correct throughout — every
+// snapshot query sees exactly the matches the table implies, no matter where
+// the swap lands. Run under -DOREO_SANITIZE=thread this doubles as the race
+// detector for the whole PhysicalStore + ThreadPool + ReorgPool stack (the
+// TSan CI job does exactly that).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,7 +41,7 @@ TEST(BackgroundStressTest, SnapshotQueriesStayCorrectAcrossRepeatedSwaps) {
   std::vector<uint64_t> expected;
   for (const Query& q : queries) expected.push_back(CountMatches(t, q));
 
-  BackgroundReorganizer bg(&store, &t);
+  ReorgPool bg(1);
   std::atomic<bool> stop{false};
   std::atomic<int> reader_errors{0};
   std::atomic<uint64_t> reads{0};
@@ -56,12 +56,12 @@ TEST(BackgroundStressTest, SnapshotQueriesStayCorrectAcrossRepeatedSwaps) {
       while (!stop.load(std::memory_order_acquire)) {
         PhysicalStore::Snapshot snap = store.GetSnapshot();
         const Query& q = queries[i % queries.size()];
-        auto exec = store.ExecuteQueryOnSnapshot(snap, q);
+        auto exec = testutil::ScanSnapshot(store, snap, q);
         if (!exec.ok() || exec->matches != expected[i % queries.size()]) {
           ++reader_errors;
         }
         (void)store.MaterializedBytes();
-        (void)bg.busy();
+        (void)bg.busy(0);
         ++reads;
         ++i;
       }
@@ -74,17 +74,17 @@ TEST(BackgroundStressTest, SnapshotQueriesStayCorrectAcrossRepeatedSwaps) {
   int completed_rounds = 0;
   for (int round = 0; round < 6; ++round) {
     const LayoutInstance* target = targets[round % 3];
-    while (!bg.Submit(target)) {
+    while (!bg.Submit(testutil::RewriteJob(&store, &t, target))) {
       std::this_thread::yield();
     }
-    bg.Wait();
-    ASSERT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
+    bg.Wait(0);
+    ASSERT_TRUE(bg.last_status(0).ok()) << bg.last_status(0).ToString();
     ++completed_rounds;
   }
 
   stop.store(true, std::memory_order_release);
   for (std::thread& th : readers) th.join();
-  bg.Wait();
+  bg.Wait(0);
 
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_GT(reads.load(), 0u);
@@ -111,7 +111,7 @@ TEST(BackgroundStressTest, ConcurrentSubmittersNeverDoubleBook) {
   PhysicalStore store(testutil::ScratchDir("bg_submit"), /*num_threads=*/2);
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
 
-  BackgroundReorganizer bg(&store, &t);
+  ReorgPool bg(1);
   std::atomic<int> accepted{0};
 
   // Two threads race Submit; every accepted submission must eventually be
@@ -121,14 +121,14 @@ TEST(BackgroundStressTest, ConcurrentSubmittersNeverDoubleBook) {
     submitters.emplace_back([&, s] {
       const LayoutInstance* mine = (s == 0) ? &b : &c;
       for (int i = 0; i < 40; ++i) {
-        if (bg.Submit(mine)) ++accepted;
+        if (bg.Submit(testutil::RewriteJob(&store, &t, mine))) ++accepted;
         std::this_thread::yield();
       }
     });
   }
   for (std::thread& th : submitters) th.join();
-  bg.Wait();
-  ASSERT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
+  bg.Wait(0);
+  ASSERT_TRUE(bg.last_status(0).ok()) << bg.last_status(0).ToString();
   EXPECT_GE(accepted.load(), 1);
   EXPECT_EQ(bg.stats().completed, accepted.load());
   // The store still holds exactly one consistent layout with all rows.
@@ -148,8 +148,11 @@ TEST(BackgroundStressTest, PerShardReorganizationsRunConcurrently) {
   constexpr uint32_t kShards = 4;
   std::vector<Table> tables;
   std::vector<std::unique_ptr<PhysicalStore>> stores;
+  // Stores keep pointers to their materialized instances: no reallocation.
   std::vector<LayoutInstance> from;
   std::vector<LayoutInstance> to;
+  from.reserve(kShards);
+  to.reserve(kShards);
   for (uint32_t s = 0; s < kShards; ++s) {
     tables.push_back(testutil::MakeEventTable(1500, 50 + s));
   }
@@ -290,7 +293,7 @@ TEST(BackgroundStressTest, DestructionDiscardsQueuedJobsWithoutFiringThem) {
   EXPECT_EQ(store_b.current_instance(), &a) << "a discarded job ran anyway";
 }
 
-// The legacy facade inherits the shutdown contract: destroying it right
+// A single-store pool keeps the shutdown contract: destroying it right
 // after an accepted Submit must be safe — the callback either fired on the
 // worker before the join or was discarded unfired, and it can never touch
 // freed state afterwards (ASan/TSan verify the "never after" half).
@@ -304,11 +307,12 @@ TEST(BackgroundStressTest, ReorganizerDestructionAfterSubmitIsSafe) {
     std::atomic<bool> fired{false};
     bool accepted = false;
     {
-      BackgroundReorganizer bg(&store, &t);
-      accepted = bg.Submit(&b, [&](const Status& st) {
-        EXPECT_TRUE(st.ok()) << st.ToString();
-        fired = true;
-      });
+      ReorgPool bg(1);
+      accepted = bg.Submit(
+          testutil::RewriteJob(&store, &t, &b, [&](const Status& st) {
+            EXPECT_TRUE(st.ok()) << st.ToString();
+            fired = true;
+          }));
       // Destructor races the worker's pickup of the queued job.
     }
     ASSERT_TRUE(accepted);

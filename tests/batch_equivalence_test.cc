@@ -321,11 +321,11 @@ TEST(BatchEquivalenceTest, HighThroughputClientOverlapsBatchesWithReorg) {
   std::string dir = testutil::ScratchDir("batch_eq_client");
   PhysicalStore store(dir, 4);
   ASSERT_TRUE(store.MaterializeLayout(t, by_ts).ok());
-  BackgroundReorganizer bg(&store, &t);
-  const uint64_t gen_before = bg.generation();
+  ReorgPool bg(1);
+  const uint64_t gen_before = bg.generation(0);
 
   PhysicalStore::Snapshot snap = store.GetSnapshot();
-  ASSERT_TRUE(bg.Submit(&by_qty));
+  ASSERT_TRUE(bg.Submit(testutil::RewriteJob(&store, &t, &by_qty)));
 
   std::vector<uint64_t> got;
   bool refreshed = false;
@@ -336,16 +336,16 @@ TEST(BatchEquivalenceTest, HighThroughputClientOverlapsBatchesWithReorg) {
     // Between batches: adopt the new layout once the background rewrite is
     // done. (For the counter comparison we keep querying the *old* snapshot
     // until then — exactly what a real client sees mid-rewrite.)
-    if (!refreshed && bg.generation() > gen_before) {
-      ASSERT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
+    if (!refreshed && bg.generation(0) > gen_before) {
+      ASSERT_TRUE(bg.last_status(0).ok()) << bg.last_status(0).ToString();
       refreshed = true;
     }
   }
   EXPECT_EQ(got, expected)
       << "snapshot isolation broke under background reorganization";
 
-  bg.Wait();
-  EXPECT_EQ(bg.generation(), gen_before + 1);
+  bg.Wait(0);
+  EXPECT_EQ(bg.generation(0), gen_before + 1);
   EXPECT_EQ(store.current_instance(), &by_qty);
   store.Vacuum();  // no snapshot readers remain
 
@@ -356,7 +356,7 @@ TEST(BatchEquivalenceTest, HighThroughputClientOverlapsBatchesWithReorg) {
       fresh, {stream[0], stream[1], Query{}});
   ASSERT_TRUE(batched.ok());
   for (size_t i = 0; i < 2; ++i) {
-    auto single = store.ExecuteQueryOnSnapshot(fresh, stream[i]);
+    auto single = testutil::ScanSnapshot(store, fresh, stream[i]);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(single->matches, batched->per_query[i].matches);
   }

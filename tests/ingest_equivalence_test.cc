@@ -14,6 +14,9 @@
 //      the final logical table (BuildLogicalTable of every shard) answers
 //      every probe query with the same match counts as the mutated engine —
 //      the mutation path loses and invents nothing.
+//   4. Contract 2 holds when the first layout is not a range of row ids
+//      (sorted by qty instead of arrival order): background rewrites out of
+//      it must leave files whose row order the tombstone masks index.
 //
 // Runs under the TSan CI job with the other slow walls (the interleaved
 // runs overlap batched physical execution, concurrent background rewrites,
@@ -148,11 +151,12 @@ RunFingerprint RunInterleaved(const Table& base, const Table& feed,
                               const std::vector<Query>& stream,
                               const std::string& dir_tag,
                               const std::vector<uint64_t>* expected_matches,
-                              std::unique_ptr<OreoEngine>* out = nullptr) {
+                              std::unique_ptr<OreoEngine>* out = nullptr,
+                              int time_column = 0) {
   OreoOptions run_opts = opts;
   std::shared_ptr<StorageBackend> backend = MakeInMemoryBackend();
   run_opts.storage_backend = backend;
-  auto engine = MakeEngine(&base, &gen, /*time_column=*/0, run_opts);
+  auto engine = MakeEngine(&base, &gen, time_column, run_opts);
   std::string dir = testutil::ScratchDir(dir_tag);
   EXPECT_TRUE(engine->AttachPhysical(dir).ok());
 
@@ -272,6 +276,34 @@ TEST(IngestEquivalenceTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
           << "interleaved run diverged from the serial reference at threads="
           << threads << " shards=" << shards;
     }
+  }
+}
+
+// The first layout sorts by qty, so its partitions interleave row ids and
+// a rewrite into a ts layout scatters each target's rows across all source
+// files; deletes then tombstone rows of the rewritten layout. A cheap alpha
+// switches within the ts phase, and no fold rewrites the files afterwards.
+TEST(IngestEquivalenceTest, NonRangeFirstLayoutMatchesTheMirror) {
+  const uint64_t seed = 17;
+  const size_t kRows = 3000;
+  QdTreeGenerator gen;
+  Table base = testutil::MakeEventTable(kRows, seed);
+  Table feed = MakeFeedTable(1200, seed);
+  std::vector<Query> stream = TwoPhaseStream(kRows, seed);
+  std::vector<uint64_t> expected = MirrorExpectedMatches(base, feed, stream);
+
+  for (size_t shards : kShardCounts) {
+    OreoOptions opts = WallOpts(seed, /*num_threads=*/2, shards);
+    opts.alpha = 10.0;
+    opts.fold_threshold = 2.0;  // never folds
+    RunFingerprint fp = RunInterleaved(
+        base, feed, gen, opts, stream,
+        "ingest_eq_qty_s" + std::to_string(shards), &expected,
+        /*out=*/nullptr, /*time_column=*/1);
+    EXPECT_GT(fp.num_switches, 0) << "fixture too tame: no switch happened";
+    uint64_t deleted = 0;
+    for (uint64_t d : fp.deleted) deleted += d;
+    EXPECT_GT(deleted, 0u) << "fixture too tame: nothing was deleted";
   }
 }
 

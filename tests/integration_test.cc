@@ -206,30 +206,31 @@ TEST(IntegrationTest, StreamingWithBackgroundPhysicalReorganization) {
                   .MaterializeLayout(f.ds.table,
                                      oreo.registry().Get(oreo.default_state()))
                   .ok());
-  BackgroundReorganizer bg(&store, &f.ds.table);
+  ReorgPool bg(1);
 
   int64_t reorgs_submitted = 0;
   for (const Query& q : f.wl.queries) {
     Oreo::StepResult step = oreo.Step(q);
     if (step.reorganized) {
       // One background rewrite at a time: drain the previous one first.
-      bg.Wait();
+      bg.Wait(0);
       store.Vacuum();
-      ASSERT_TRUE(bg.Submit(&oreo.registry().Get(step.state)));
+      ASSERT_TRUE(bg.Submit(testutil::RewriteJob(
+          &store, &f.ds.table, &oreo.registry().Get(step.state))));
       ++reorgs_submitted;
     }
     if (q.id % 60 == 0) {
       // Queries are served from the current on-disk snapshot, which may lag
       // the logical decision — results must be exact either way.
       PhysicalStore::Snapshot snap = store.GetSnapshot();
-      auto exec = store.ExecuteQueryOnSnapshot(snap, q);
+      auto exec = testutil::ScanSnapshot(store, snap, q);
       ASSERT_TRUE(exec.ok()) << exec.status().ToString();
       EXPECT_EQ(exec->matches, CountMatches(f.ds.table, q));
     }
   }
-  bg.Wait();
+  bg.Wait(0);
   store.Vacuum();
-  EXPECT_TRUE(bg.last_status().ok() || reorgs_submitted == 0);
+  EXPECT_TRUE(bg.last_status(0).ok() || reorgs_submitted == 0);
   EXPECT_EQ(bg.stats().completed, reorgs_submitted);
   fs::remove_all(dir);
 }

@@ -18,7 +18,6 @@
 #include "common/simd.h"
 #include "layout/sorted_layout.h"
 #include "layout/zorder_layout.h"
-#include "query/aggregate.h"
 #include "query/kernels.h"
 #include "query/query.h"
 #include "storage/codec.h"
@@ -185,30 +184,6 @@ TEST(KernelParityTest, AllMatchAndNoneMatchShapes) {
   EXPECT_EQ(CountMatches(t, none), 0u);
   // Full-scan query (no conjuncts) matches everything.
   EXPECT_EQ(CountMatches(t, Query{}), t.num_rows());
-}
-
-TEST(KernelParityTest, AggregatorConsumeMatchesScalar) {
-  Table t = MakeAdversarialTable(500, 4242);
-  Query q;
-  q.conjuncts.push_back(Predicate::Ge(0, Value(int64_t{-50})));
-  std::vector<AggSpec> specs = {{AggOp::kCount, -1},
-                                {AggOp::kSum, 0},
-                                {AggOp::kMin, 1},
-                                {AggOp::kMax, 1}};
-  auto run = [&](simd::KernelMode m) {
-    ScopedKernelMode mode(m);
-    Aggregator agg(specs);
-    agg.Consume(t, q);
-    return agg.Finish();
-  };
-  const auto scalar = run(simd::KernelMode::kScalar);
-  const auto vec = run(simd::KernelMode::kVector);
-  ASSERT_EQ(scalar.size(), vec.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(scalar[i].count, vec[i].count);
-    // Bit-identical fold order => bit-identical doubles (NaN-safe compare).
-    EXPECT_EQ(std::memcmp(&scalar[i].value, &vec[i].value, sizeof(double)), 0);
-  }
 }
 
 // ------------------------------------------------- Eytzinger parity ----

@@ -1,6 +1,7 @@
 // Tests for the physical execution substrate: materialization, query
-// execution with pruning, full reorganization (row preservation), and the
-// replay harness used by the Figure 3 benchmark.
+// execution with pruning, full reorganization (row preservation and
+// canonical row order), background rewrites through a one-worker ReorgPool,
+// and the replay harness used by the Figure 3 benchmark.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -91,6 +92,30 @@ TEST(PhysicalStoreTest, ReorganizePreservesRowsExactly) {
   EXPECT_EQ(store.current_instance(), &b);
 }
 
+// A reorganization writes every target file in canonical row order, so its
+// files are byte-identical to a fresh materialization of the target — even
+// when the source partitions are not row-id ranges (a qty-sorted source
+// scatters every target's rows across all source files). The tombstone
+// masks of live ingest index rows in exactly this order.
+TEST(PhysicalStoreTest, ReorganizeWritesTheFilesAFreshMaterializeWrites) {
+  Table t = MakeTable(3000, 4);
+  LayoutInstance by_qty = SortedInstance(t, 1, 8, "by_qty");
+  LayoutInstance by_ts = SortedInstance(t, 0, 8, "by_ts");
+  for (const auto& [from, to] :
+       {std::make_pair(&by_qty, &by_ts), std::make_pair(&by_ts, &by_qty)}) {
+    PhysicalStore reorganized(TempDir("reorg_crc_" + from->name()),
+                              /*num_threads=*/4);
+    ASSERT_TRUE(reorganized.MaterializeLayout(t, *from).ok());
+    ASSERT_TRUE(reorganized.Reorganize(t, *to).ok());
+    PhysicalStore fresh(TempDir("fresh_crc_" + to->name()));
+    ASSERT_TRUE(fresh.MaterializeLayout(t, *to).ok());
+    EXPECT_EQ(testutil::PartitionCrcs(reorganized),
+              testutil::PartitionCrcs(fresh))
+        << "reorganizing " << from->name() << " -> " << to->name()
+        << " left files in non-canonical row order";
+  }
+}
+
 TEST(PhysicalStoreTest, ReorganizeImprovesSkippingForNewWorkload) {
   Table t = MakeTable(4000, 5);
   LayoutInstance by_ts = SortedInstance(t, 0, 16, "by_ts");
@@ -137,19 +162,21 @@ TEST(ReplayPhysicalTest, FollowsDecisionTrace) {
   EXPECT_GT(result->query_seconds, 0.0);
 }
 
-TEST(BackgroundReorganizerTest, CompletesAndSwaps) {
+// The paper's single background process (§III-B) is a one-worker ReorgPool
+// serving one store.
+TEST(ReorgPoolTest, CompletesAndSwaps) {
   Table t = MakeTable(5000, 10);
   LayoutInstance a = SortedInstance(t, 0, 8, "a");
   LayoutInstance b = SortedInstance(t, 1, 8, "b");
   PhysicalStore store(TempDir("bg_swap"));
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
   {
-    BackgroundReorganizer bg(&store, &t);
-    EXPECT_FALSE(bg.busy());
-    ASSERT_TRUE(bg.Submit(&b));
-    bg.Wait();
-    EXPECT_FALSE(bg.busy());
-    EXPECT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
+    ReorgPool bg(1);
+    EXPECT_FALSE(bg.busy(0));
+    ASSERT_TRUE(bg.Submit(testutil::RewriteJob(&store, &t, &b)));
+    bg.Wait(0);
+    EXPECT_FALSE(bg.busy(0));
+    EXPECT_TRUE(bg.last_status(0).ok()) << bg.last_status(0).ToString();
     EXPECT_EQ(bg.stats().completed, 1);
     EXPECT_GT(bg.stats().total_seconds, 0.0);
   }
@@ -162,7 +189,7 @@ TEST(BackgroundReorganizerTest, CompletesAndSwaps) {
   store.Vacuum();
 }
 
-TEST(BackgroundReorganizerTest, SnapshotServesDuringReorganization) {
+TEST(ReorgPoolTest, SnapshotServesDuringReorganization) {
   Table t = MakeTable(20000, 11);
   LayoutInstance a = SortedInstance(t, 0, 16, "a");
   LayoutInstance b = SortedInstance(t, 1, 16, "b");
@@ -174,22 +201,22 @@ TEST(BackgroundReorganizerTest, SnapshotServesDuringReorganization) {
   q.conjuncts = {Predicate::Between(1, Value(int64_t{100}), Value(int64_t{300}))};
   uint64_t expected = CountMatches(t, q);
 
-  BackgroundReorganizer bg(&store, &t);
-  ASSERT_TRUE(bg.Submit(&b));
+  ReorgPool bg(1);
+  ASSERT_TRUE(bg.Submit(testutil::RewriteJob(&store, &t, &b)));
   // Keep querying the old snapshot while the rewrite runs; results must be
   // correct throughout (outgoing files stay on disk until Vacuum).
   int during = 0;
   do {
-    auto exec = store.ExecuteQueryOnSnapshot(snap, q);
+    auto exec = testutil::ScanSnapshot(store, snap, q);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     EXPECT_EQ(exec->matches, expected);
     ++during;
-  } while (bg.busy());
+  } while (bg.busy(0));
   EXPECT_GE(during, 1);
-  bg.Wait();
-  ASSERT_TRUE(bg.last_status().ok());
+  bg.Wait(0);
+  ASSERT_TRUE(bg.last_status(0).ok());
   // And the snapshot still works after the swap, until Vacuum.
-  auto exec = store.ExecuteQueryOnSnapshot(snap, q);
+  auto exec = testutil::ScanSnapshot(store, snap, q);
   ASSERT_TRUE(exec.ok());
   EXPECT_EQ(exec->matches, expected);
   // After Vacuum, fresh snapshots serve the new layout correctly.
@@ -199,24 +226,24 @@ TEST(BackgroundReorganizerTest, SnapshotServesDuringReorganization) {
   EXPECT_EQ(fresh->matches, expected);
 }
 
-TEST(BackgroundReorganizerTest, RejectsConcurrentSubmit) {
+TEST(ReorgPoolTest, RejectsConcurrentSubmit) {
   Table t = MakeTable(30000, 12);
   LayoutInstance a = SortedInstance(t, 0, 16, "a");
   LayoutInstance b = SortedInstance(t, 1, 16, "b");
   LayoutInstance c = SortedInstance(t, 0, 8, "c");
   PhysicalStore store(TempDir("bg_reject"));
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
-  BackgroundReorganizer bg(&store, &t);
-  ASSERT_TRUE(bg.Submit(&b));
+  ReorgPool bg(1);
+  ASSERT_TRUE(bg.Submit(testutil::RewriteJob(&store, &t, &b)));
   // While busy, further submissions bounce (single background process).
   bool rejected = false;
-  while (bg.busy()) {
-    if (!bg.Submit(&c)) {
+  while (bg.busy(0)) {
+    if (!bg.Submit(testutil::RewriteJob(&store, &t, &c))) {
       rejected = true;
       break;
     }
   }
-  bg.Wait();
+  bg.Wait(0);
   EXPECT_TRUE(rejected || bg.stats().completed >= 1);
 }
 

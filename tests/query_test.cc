@@ -3,12 +3,8 @@
 // selectivity estimation and the fraction-accessed cost model.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "common/rng.h"
-#include "query/aggregate.h"
 #include "query/query.h"
-#include "storage/metadata_io.h"
 #include "storage/partitioning.h"
 #include "test_util.h"
 
@@ -284,127 +280,6 @@ TEST(FractionAccessedTest, CostInUnitInterval) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
   }
-}
-
-// ----------------------------------------------------------- aggregates ----
-
-TEST(AggregateTest, CountSumMinMaxAvg) {
-  Table t(TestSchema());
-  for (int64_t i = 1; i <= 10; ++i) {
-    t.AppendRow({Value(i), Value(static_cast<double>(i) * 2.0), Value("x")});
-  }
-  Query q;
-  q.conjuncts = {Predicate::Le(0, Value(int64_t{5}))};  // qty in 1..5
-  std::vector<AggResult> r = RunAggregates(
-      t, q,
-      {{AggOp::kCount, -1}, {AggOp::kSum, 1}, {AggOp::kMin, 1},
-       {AggOp::kMax, 1}, {AggOp::kAvg, 0}});
-  EXPECT_EQ(r[0].count, 5);
-  EXPECT_DOUBLE_EQ(r[1].value, 2.0 + 4 + 6 + 8 + 10);
-  EXPECT_DOUBLE_EQ(r[2].value, 2.0);
-  EXPECT_DOUBLE_EQ(r[3].value, 10.0);
-  EXPECT_DOUBLE_EQ(r[4].value, 3.0);
-  for (const AggResult& a : r) EXPECT_TRUE(a.valid);
-}
-
-TEST(AggregateTest, EmptyInputSemantics) {
-  Table t(TestSchema());
-  t.AppendRow({Value(int64_t{1}), Value(1.0), Value("x")});
-  Query q;
-  q.conjuncts = {Predicate::Gt(0, Value(int64_t{100}))};  // matches nothing
-  std::vector<AggResult> r = RunAggregates(
-      t, q, {{AggOp::kCount, -1}, {AggOp::kSum, 1}, {AggOp::kMin, 1},
-             {AggOp::kAvg, 1}});
-  EXPECT_EQ(r[0].count, 0);
-  EXPECT_TRUE(r[0].valid);
-  EXPECT_DOUBLE_EQ(r[1].value, 0.0);  // SUM of nothing = 0
-  EXPECT_FALSE(r[2].valid);           // MIN of nothing = NULL
-  EXPECT_FALSE(r[3].valid);           // AVG of nothing = NULL
-}
-
-TEST(AggregateTest, StreamingAcrossPartitionsMatchesOneShot) {
-  Table t = MakeRandomTable(300, 21);
-  Query q;
-  q.conjuncts = {Predicate::Ge(1, Value(10.0))};
-  std::vector<AggSpec> specs = {{AggOp::kSum, 0}, {AggOp::kAvg, 1},
-                                {AggOp::kCount, -1}};
-  std::vector<AggResult> oneshot = RunAggregates(t, q, specs);
-
-  // Same data split across three "partitions".
-  Aggregator agg(specs);
-  std::vector<uint32_t> p1, p2, p3;
-  for (uint32_t r = 0; r < 300; ++r) {
-    (r % 3 == 0 ? p1 : r % 3 == 1 ? p2 : p3).push_back(r);
-  }
-  for (const auto* part : {&p1, &p2, &p3}) {
-    Table sub = t.Take(*part);
-    agg.Consume(sub, q);
-  }
-  std::vector<AggResult> streamed = agg.Finish();
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(streamed[i].count, oneshot[i].count);
-    EXPECT_NEAR(streamed[i].value, oneshot[i].value, 1e-9);
-  }
-}
-
-TEST(AggregateTest, ConsumeRowsUnconditional) {
-  Table t = MakeRandomTable(50, 22);
-  Aggregator agg({{AggOp::kCount, -1}});
-  agg.ConsumeRows(t, {0, 5, 7});
-  EXPECT_EQ(agg.Finish()[0].count, 3);
-  EXPECT_EQ(agg.rows_seen(), 3);
-}
-
-// ----------------------------------------------- metadata persistence ----
-
-TEST(MetadataTest, RoundTripPreservesPruningBehavior) {
-  Rng rng(23);
-  Table t = MakeRandomTable(400, 23);
-  std::vector<uint32_t> assignment(t.num_rows());
-  for (auto& a : assignment) a = static_cast<uint32_t>(rng.Uniform(8));
-  Partitioning p = BuildPartitioning(t, assignment, 8);
-  PartitionMetadata meta = MetadataFrom(t.schema(), p, "test-layout");
-
-  std::string data = SerializePartitionMetadata(meta);
-  Result<PartitionMetadata> back = DeserializePartitionMetadata(data);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->layout_name, "test-layout");
-  EXPECT_EQ(back->total_rows, t.num_rows());
-  EXPECT_TRUE(back->schema.Equals(t.schema()));
-  ASSERT_EQ(back->zones.size(), p.zones.size());
-
-  // Cost estimation from persisted metadata must be bit-identical.
-  for (int i = 0; i < 40; ++i) {
-    Query q = RandomQuery(&rng);
-    EXPECT_DOUBLE_EQ(FractionAccessedFromMetadata(*back, q),
-                     FractionAccessed(p, q));
-  }
-}
-
-TEST(MetadataTest, FileRoundTripAndCorruption) {
-  namespace fs = std::filesystem;
-  Rng rng(29);
-  Table t = MakeRandomTable(100, 29);
-  std::vector<uint32_t> assignment(t.num_rows(), 0);
-  Partitioning p = BuildPartitioning(t, assignment, 1);
-  PartitionMetadata meta = MetadataFrom(t.schema(), p, "single");
-  std::string path = testutil::ScratchDir("meta_test.bin");
-  ASSERT_TRUE(WriteMetadataFile(path, meta).ok());
-  Result<PartitionMetadata> back = ReadMetadataFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->zones.size(), 1u);
-
-  // Flip a byte: must be detected.
-  std::string data = SerializePartitionMetadata(meta);
-  data[data.size() / 3] = static_cast<char>(data[data.size() / 3] ^ 0x10);
-  EXPECT_EQ(DeserializePartitionMetadata(data).status().code(),
-            StatusCode::kCorruption);
-  // Truncation: must be detected.
-  EXPECT_EQ(DeserializePartitionMetadata(data.substr(0, data.size() / 2))
-                .status()
-                .code(),
-            StatusCode::kCorruption);
-  fs::remove(path);
 }
 
 TEST(FractionAccessedTest, LowerBoundsTrueSelectivity) {

@@ -1,9 +1,10 @@
 // The sharded==unsharded equivalence wall for PR 4's ShardedOreo refactor.
 // Pinned contracts:
 //
-//   1. A 1-shard ShardedOreo is bit-identical to a bare Oreo: per-query
-//      serving states, costs, switch decisions, run traces, and the
-//      partition files a physical replay leaves behind (CRCs).
+//   1. A 1-shard ShardedOreo is bit-identical to a bare logical Oreo:
+//      per-query serving states, costs, switch decisions, run traces, and
+//      the partition files a physical replay of its trace leaves behind
+//      (CRCs).
 //   2. N-shard runs are bit-identical across thread counts {1, 8} — logical
 //      fingerprints and per-shard replayed partition-file CRCs.
 //   3. The router never drops a matching row: for random tables and random
@@ -200,12 +201,14 @@ TEST(ShardedEquivalenceTest, OneShardReplayLeavesIdenticalPartitionFiles) {
                      legacy_dir, /*num_threads=*/2, /*batch_size=*/4, backend);
   ASSERT_TRUE(legacy_replay.ok()) << legacy_replay.status().ToString();
 
-  ShardedOreo sharded(&t, &gen, 0, opts);
+  OreoOptions sharded_opts = opts;
+  sharded_opts.storage_backend = backend;
+  ShardedOreo sharded(&t, &gen, 0, sharded_opts);
   ShardedSimResult sharded_sim = sharded.Run(stream, /*record_trace=*/true);
   std::string sharded_dir = testutil::ScratchDir("sharded_eq_one");
   auto sharded_replay =
-      ShardedReplayPhysical(sharded, sharded_sim, /*stride=*/3, sharded_dir,
-                            /*num_threads=*/2, /*batch_size=*/4, backend);
+      sharded.ReplayTrace(sharded_sim, /*stride=*/3, sharded_dir,
+                          /*num_threads=*/2, /*batch_size=*/4);
   ASSERT_TRUE(sharded_replay.ok()) << sharded_replay.status().ToString();
 
   EXPECT_EQ(legacy_replay->num_switches, sharded_replay->num_switches);
@@ -259,12 +262,13 @@ TEST(ShardedEquivalenceTest, NShardRunsAreThreadCountInvariant) {
   std::vector<std::vector<uint32_t>> baseline_crcs;
   for (size_t threads : kThreadCounts) {
     OreoOptions opts = ShardedOpts(seed, threads, /*num_shards=*/4);
+    opts.storage_backend = backend;
     ShardedOreo sharded(&t, &gen, 0, opts);
     ShardedSimResult sim = sharded.Run(stream, /*record_trace=*/true);
     std::string dir = testutil::ScratchDir("sharded_eq_threads_" +
                                            std::to_string(threads));
-    auto replay = ShardedReplayPhysical(sharded, sim, /*stride=*/3, dir,
-                                        threads, /*batch_size=*/4, backend);
+    auto replay = sharded.ReplayTrace(sim, /*stride=*/3, dir, threads,
+                                      /*batch_size=*/4);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     std::vector<std::vector<uint32_t>> crcs;
     for (uint32_t s = 0; s < 4; ++s) {

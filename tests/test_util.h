@@ -10,12 +10,14 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "core/background.h"
 #include "core/physical.h"
 #include "layout/layout.h"
 #include "layout/sorted_layout.h"
@@ -194,14 +196,20 @@ inline std::shared_ptr<StorageBackend> TestBackend(
   return MakePosixBackend();
 }
 
-// CRC-32C of one object read through `backend` (0 plus a test failure if the
-// object cannot be read).
+// Content fingerprint of one object read through `backend` (0 plus a test
+// failure if the object cannot be read): the CRC-32C of its bytes without
+// the trailing 4-byte checksum every block file ends with. (A CRC over a
+// message followed by its own CRC is the same constant for every message,
+// so hashing whole block files would tell no two apart.)
 inline uint32_t BackendCrc(StorageBackend& backend, const std::string& path) {
   Result<std::string> data = backend.ReadBlock(path);
   EXPECT_TRUE(data.ok()) << "cannot read " << path << ": "
                          << data.status().ToString();
   if (!data.ok()) return 0;
-  return Crc32c(data->data(), data->size());
+  const size_t n = data->size() >= sizeof(uint32_t)
+                       ? data->size() - sizeof(uint32_t)
+                       : data->size();
+  return Crc32c(data->data(), n);
 }
 
 // CRCs of the store's current partition files, in partition-id order, read
@@ -212,6 +220,28 @@ inline std::vector<uint32_t> PartitionCrcs(const core::PhysicalStore& store) {
     crcs.push_back(BackendCrc(*store.backend(), f));
   }
   return crcs;
+}
+
+// One query against an explicit snapshot, as a single-query batch.
+inline Result<core::PhysicalStore::QueryExec> ScanSnapshot(
+    const core::PhysicalStore& store,
+    const core::PhysicalStore::Snapshot& snapshot, const Query& query) {
+  OREO_ASSIGN_OR_RETURN(core::PhysicalStore::BatchExec batch,
+                        store.ExecuteQueryBatchOnSnapshot(snapshot, {query}));
+  return batch.per_query.front();
+}
+
+// A ReorgPool job rewriting `store` (shard 0) into `target`.
+inline core::ReorgPool::Job RewriteJob(
+    core::PhysicalStore* store, const Table* table,
+    const LayoutInstance* target,
+    std::function<void(const Status&)> on_done = nullptr) {
+  core::ReorgPool::Job job;
+  job.store = store;
+  job.table = table;
+  job.target = target;
+  job.on_done = std::move(on_done);
+  return job;
 }
 
 // CRCs of every object under `dir`, in sorted path order — the fingerprint
