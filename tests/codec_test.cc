@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <limits>
+#include <ostream>
 
 #include "common/rng.h"
 #include "storage/codec.h"
@@ -58,6 +59,10 @@ struct Int64CodecCase {
   // Data shape: 0=random, 1=sorted, 2=few-runs, 3=constant, 4=empty
   int shape;
 };
+
+// Without this, gtest prints the case as raw bytes (a pointer and padding),
+// and the discovered CTest name changes with every build and run.
+void PrintTo(const Int64CodecCase& c, std::ostream* os) { *os << c.name; }
 
 class Int64CodecTest : public ::testing::TestWithParam<Int64CodecCase> {
  protected:

@@ -4,6 +4,7 @@
 // layouts actually skip data for their target workloads.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "common/rng.h"
@@ -382,6 +383,10 @@ struct GenCase {
   int which;  // 0=sort, 1=zorder, 2=qdtree
   uint32_t k;
 };
+
+// Without this, gtest prints the case as raw bytes, pointer included, and
+// the discovered CTest name changes with every build and run.
+void PrintTo(const GenCase& gc, std::ostream* os) { *os << gc.name; }
 
 class GeneratorSweepTest : public ::testing::TestWithParam<GenCase> {};
 
