@@ -12,6 +12,8 @@
 //   eytzinger_lookup  sorted-boundary rank lookups vs std::lower_bound
 //   codec_delta       delta-varint int64 decode (block fast path)
 //   codec_rle         RLE int64 decode (pointer-fill fast path)
+//   crc32c_4k/17k/1m  CRC-32C of 4 KiB, 17 KiB and 1 MiB buffers: the
+//                     table loop vs the dispatched (SSE4.2) path, in bytes
 //
 // Flags: --rows=N (default 10M) --probes=N --reps=N --seed=N
 //        --out=path.json (default: BENCH_kernels.json in the working
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "common.h"
+#include "common/crc32.h"
 #include "common/eytzinger.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -205,9 +208,46 @@ int Main(int argc, char** argv) {
     results.push_back(rr);
   }
 
+  // ---- CRC-32C: every block read checksums the whole block ------------
+  {
+    // Random bytes; each size walks the buffer chunk by chunk until a rep
+    // has checksummed about 8 bytes per row (at least one chunk).
+    const size_t kBufBytes = size_t{1} << 20;
+    std::string buf(kBufBytes, '\0');
+    Rng brng(seed + 2);
+    for (char& c : buf) c = static_cast<char>(brng.Uniform(256));
+    const struct {
+      const char* name;
+      size_t bytes;
+    } sizes[] = {{"crc32c_4k", 4 << 10},
+                 {"crc32c_17k", 17 << 10},
+                 {"crc32c_1m", kBufBytes}};
+    for (const auto& size : sizes) {
+      const size_t chunks =
+          std::max<size_t>(1, rows * sizeof(int64_t) / size.bytes);
+      const size_t per_buf = kBufBytes / size.bytes;
+      KernelResult r{size.name, "bytes", 0, 0,
+                     static_cast<double>(chunks * size.bytes), 0};
+      Measure(&r, reps, [&] {
+        uint64_t sum = 0;
+        for (size_t i = 0; i < chunks; ++i) {
+          sum += Crc32c(buf.data() + (i % per_buf) * size.bytes, size.bytes);
+        }
+        return sum;
+      });
+      results.push_back(r);
+    }
+  }
+
   for (const KernelResult& r : results) {
-    std::fprintf(stderr, "  %-18s scalar=%.3fs vector=%.3fs speedup=%.2fx\n",
+    std::fprintf(stderr, "  %-18s scalar=%.3fs vector=%.3fs speedup=%.2fx",
                  r.name, r.scalar_s, r.vector_s, Speedup(r));
+    if (std::strcmp(r.unit, "bytes") == 0) {
+      const double gb = r.items * static_cast<double>(reps) / 1e9;
+      std::fprintf(stderr, " (%.2f vs %.2f GB/s)", gb / r.scalar_s,
+                   gb / r.vector_s);
+    }
+    std::fprintf(stderr, "\n");
   }
 
   // ---- JSON (stable key order; schema documented in docs/BENCHMARKS.md) --

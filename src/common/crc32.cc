@@ -1,12 +1,15 @@
 #include "common/crc32.h"
 
+#include "common/crc32_internal.h"
+#include "common/simd.h"
+
 namespace oreo {
 
 namespace {
-// Table-driven CRC-32C (polynomial 0x1EDC6F41, reflected 0x82F63B78).
-struct Crc32cTable {
+// Lookup table for CRC-32C (polynomial 0x1EDC6F41, reflected 0x82F63B78).
+struct Crc32cLookup {
   uint32_t table[256];
-  Crc32cTable() {
+  Crc32cLookup() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int j = 0; j < 8; ++j) {
@@ -16,16 +19,29 @@ struct Crc32cTable {
     }
   }
 };
-const Crc32cTable g_table;
+const Crc32cLookup g_table;
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t init) {
+namespace internal {
+
+uint32_t Crc32cTable(const void* data, size_t n, uint32_t init) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~init;
   for (size_t i = 0; i < n; ++i) {
     crc = (crc >> 8) ^ g_table.table[(crc ^ p[i]) & 0xff];
   }
   return ~crc;
+}
+
+}  // namespace internal
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t init) {
+#ifdef OREO_WITH_SSE42
+  if (simd::VectorEnabled() && simd::HasSse42()) {
+    return internal::Crc32cHw(data, n, init);
+  }
+#endif
+  return internal::Crc32cTable(data, n, init);
 }
 
 }  // namespace oreo

@@ -59,6 +59,16 @@ bool HasAvx2() {
 #endif
 }
 
+bool HasSse42() {
+#if defined(OREO_WITH_SSE42) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+  static const bool has = __builtin_cpu_supports("sse4.2");
+  return has;
+#else
+  return false;
+#endif
+}
+
 const char* DispatchDescription() {
   if (ForceScalarEnv()) return "scalar(env)";
   if (GlobalKernelMode() == KernelMode::kScalar) return "scalar(mode)";

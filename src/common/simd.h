@@ -1,13 +1,14 @@
 // Kernel dispatch for the data-parallel hot paths (predicate bitmaps in
 // query/kernels.h, block codec decode in storage/codec.cc, Eytzinger layout
-// lookups in layout/ and storage/shard_router.cc).
+// lookups in layout/ and storage/shard_router.cc, and the CRC-32C that
+// checksums every block read and write in common/crc32.h).
 //
 // Every vectorized kernel keeps its scalar reference implementation and the
 // two sides are bit-identical — same match counts, same decoded bytes, same
 // partition assignments — so flipping the dispatch can never change a
 // decision, a trace, or a file CRC (pinned by tests/kernels_test.cc and the
-// kernel-mode case of the parallel equivalence wall). The dispatch resolves,
-// in order:
+// kernel-mode case of the parallel equivalence wall; the CRC's two sides
+// by tests/common_test.cc). The dispatch resolves, in order:
 //
 //   1. the OREO_FORCE_SCALAR=1 environment variable (wins over everything;
 //      the CI forced-scalar job runs the whole suite under it),
@@ -15,7 +16,9 @@
 //      kernel_mode applies itself here at engine construction,
 //   3. kAuto: vectorized kernels run, using the widest instruction set the
 //      build and the CPU both support (AVX2 when available, otherwise
-//      portable word-at-a-time branchless code the compiler auto-vectorizes).
+//      portable word-at-a-time branchless code the compiler auto-vectorizes;
+//      the CRC uses the SSE4.2 `crc32` instruction when available, otherwise
+//      its table loop).
 #ifndef OREO_COMMON_SIMD_H_
 #define OREO_COMMON_SIMD_H_
 
@@ -48,6 +51,10 @@ bool VectorEnabled();
 /// True when the AVX2 kernel translation unit is built in AND the CPU
 /// reports AVX2 support at runtime.
 bool HasAvx2();
+
+/// True when the SSE4.2 CRC-32C translation unit is built in AND the CPU
+/// reports SSE4.2 support at runtime.
+bool HasSse42();
 
 /// Human-readable dispatch state, e.g. "avx2", "portable", "scalar(env)",
 /// "scalar(mode)" — recorded by bench/micro_kernels.

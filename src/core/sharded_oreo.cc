@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "ingest/coordinator.h"
@@ -92,6 +96,22 @@ ShardedOreo::ShardedOreo(const Table* table, const LayoutGenerator* generator,
   // (a 1-shard facade runs everything inline on the caller).
   pool_ = std::make_unique<ThreadPool>(std::min(
       ThreadPool::ResolveThreads(options.num_threads), options.num_shards));
+}
+
+ShardedOreo::~ShardedOreo() {
+  // Join the workers before the state they touch goes: in-flight rewrite
+  // callbacks reach into engines and stores.
+  reorg_pool_.reset();
+  pool_.reset();
+  engines_.clear();
+  shard_tables_.clear();
+#if defined(__GLIBC__)
+  // The engine's threads allocated from several malloc arenas, and glibc
+  // keeps their freed pages resident. Return them, so a process that builds
+  // and drops engines (a server's tenants, one benchmark round after
+  // another) does not grow with the number of engines it has built.
+  malloc_trim(0);
+#endif
 }
 
 ShardedOreo::ShardedStepResult ShardedOreo::StepSharded(const Query& query) {

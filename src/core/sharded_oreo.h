@@ -66,6 +66,9 @@ class ShardedOreo : public OreoEngine {
   /// the master seed). `options.shard_column == -1` routes on `time_column`.
   ShardedOreo(const Table* table, const LayoutGenerator* generator,
               int time_column, const OreoOptions& options);
+  /// Joins the worker pools, frees the engines and shard tables, and returns
+  /// the freed heap to the OS (glibc's malloc_trim).
+  ~ShardedOreo() override;
 
   /// One shard's step outcome for a routed query.
   struct ShardStep {
@@ -223,8 +226,8 @@ class ShardedOreo : public OreoEngine {
   uint64_t ingest_version_ = 0;  ///< facade-level ingest batch counter
   // Batch fan-out across shards; never more threads than shards.
   std::unique_ptr<ThreadPool> pool_;
-  // Declared after the engines so it is destroyed first: in-flight rewrite
-  // callbacks touch engines/stores and must never outlive them.
+  // Reset first by the destructor: in-flight rewrite callbacks touch
+  // engines/stores and must never outlive them.
   std::unique_ptr<ReorgPool> reorg_pool_;
 };
 

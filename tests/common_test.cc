@@ -9,9 +9,12 @@
 #include "common/bit_util.h"
 #include "common/bitvector.h"
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "test_util.h"
 
 namespace oreo {
 namespace {
@@ -301,32 +304,138 @@ INSTANTIATE_TEST_SUITE_P(AllDims, MortonDimsTest,
 
 // -------------------------------------------------------------- crc32 ----
 
+using testutil::ScopedKernelMode;
+
+// Crc32c dispatches to the table loop under kScalar and, where the build and
+// the CPU have it, to SSE4.2 under kVector.
+constexpr simd::KernelMode kCrcModes[] = {simd::KernelMode::kScalar,
+                                          simd::KernelMode::kVector};
+
 TEST(Crc32Test, KnownVector) {
   // CRC-32C("123456789") = 0xE3069283.
   const char* data = "123456789";
-  EXPECT_EQ(Crc32c(data, 9), 0xE3069283u);
+  for (simd::KernelMode mode : kCrcModes) {
+    ScopedKernelMode scoped(mode);
+    EXPECT_EQ(Crc32c(data, 9), 0xE3069283u) << simd::KernelModeName(mode);
+  }
 }
 
-TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32c("", 0), 0u); }
+TEST(Crc32Test, EmptyIsZero) {
+  for (simd::KernelMode mode : kCrcModes) {
+    ScopedKernelMode scoped(mode);
+    EXPECT_EQ(Crc32c("", 0), 0u) << simd::KernelModeName(mode);
+  }
+}
 
 TEST(Crc32Test, DetectsSingleBitFlip) {
   std::string data(256, 'x');
-  uint32_t orig = Crc32c(data.data(), data.size());
-  for (size_t byte : {0ul, 100ul, 255ul}) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mut = data;
-      mut[byte] = static_cast<char>(mut[byte] ^ (1 << bit));
-      EXPECT_NE(Crc32c(mut.data(), mut.size()), orig);
+  for (simd::KernelMode mode : kCrcModes) {
+    ScopedKernelMode scoped(mode);
+    SCOPED_TRACE(simd::KernelModeName(mode));
+    uint32_t orig = Crc32c(data.data(), data.size());
+    for (size_t byte : {0ul, 100ul, 255ul}) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mut = data;
+        mut[byte] = static_cast<char>(mut[byte] ^ (1 << bit));
+        EXPECT_NE(Crc32c(mut.data(), mut.size()), orig);
+      }
     }
   }
 }
 
 TEST(Crc32Test, Extendable) {
   std::string data = "hello world, this is oreo";
-  uint32_t whole = Crc32c(data.data(), data.size());
-  uint32_t part = Crc32c(data.data(), 10);
-  part = Crc32c(data.data() + 10, data.size() - 10, part);
-  EXPECT_EQ(part, whole);
+  for (simd::KernelMode mode : kCrcModes) {
+    ScopedKernelMode scoped(mode);
+    uint32_t whole = Crc32c(data.data(), data.size());
+    uint32_t part = Crc32c(data.data(), 10);
+    part = Crc32c(data.data() + 10, data.size() - 10, part);
+    EXPECT_EQ(part, whole) << simd::KernelModeName(mode);
+  }
+}
+
+// The two implementations compared directly, whatever the dispatch picks.
+using CrcFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+// The SSE4.2 implementation, or null where the build or the CPU lacks it.
+CrcFn HardwareCrc() {
+#ifdef OREO_WITH_SSE42
+  if (simd::HasSse42()) return &internal::Crc32cHw;
+#endif
+  return nullptr;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.Uniform(256));
+  return out;
+}
+
+TEST(Crc32ParityTest, CheckValueOnBothPaths) {
+  EXPECT_EQ(internal::Crc32cTable("123456789", 9, 0), 0xE3069283u);
+  const CrcFn hw = HardwareCrc();
+  if (hw == nullptr) GTEST_SKIP() << "no SSE4.2 in this build or CPU";
+  EXPECT_EQ(hw("123456789", 9, 0), 0xE3069283u);
+}
+
+TEST(Crc32ParityTest, EveryLengthAndStartOffsetMatchesTable) {
+  const CrcFn hw = HardwareCrc();
+  if (hw == nullptr) GTEST_SKIP() << "no SSE4.2 in this build or CPU";
+  // Offsets 0-7 put the 8-byte words at every alignment; lengths 0-257
+  // cover the empty input, tails of every size and several whole words,
+  // and lengths up to 2 KiB each way into and past the three-stream chunks
+  // long inputs are split into.
+  const std::string buf = RandomBytes(2048 + 8, 11);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 2048; ++n) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(hw(p, n, 0), internal::Crc32cTable(p, n, 0))
+          << "offset " << offset << ", length " << n;
+    }
+  }
+}
+
+TEST(Crc32ParityTest, ChainedInitMatchesTableAtEverySplit) {
+  const CrcFn hw = HardwareCrc();
+  if (hw == nullptr) GTEST_SKIP() << "no SSE4.2 in this build or CPU";
+  for (size_t n : {9ul, 16ul, 17ul, 64ul, 257ul, 1000ul, 4099ul}) {
+    const std::string data = RandomBytes(n, 100 + n);
+    const uint32_t whole = internal::Crc32cTable(data.data(), n, 0);
+    for (size_t split : {0ul, 1ul, 7ul, 8ul, 9ul, n / 2, n - 1}) {
+      // Each half on either path: the init a path receives may come from
+      // the other one.
+      const uint32_t head_table = internal::Crc32cTable(data.data(), split, 0);
+      const uint32_t head_hw = hw(data.data(), split, 0);
+      ASSERT_EQ(head_hw, head_table) << "n " << n << ", split " << split;
+      EXPECT_EQ(hw(data.data() + split, n - split, head_table), whole)
+          << "n " << n << ", split " << split;
+      EXPECT_EQ(internal::Crc32cTable(data.data() + split, n - split, head_hw),
+                whole)
+          << "n " << n << ", split " << split;
+    }
+  }
+}
+
+TEST(Crc32ParityTest, OneMebibyteOfRandomBytesMatchesTable) {
+  const CrcFn hw = HardwareCrc();
+  if (hw == nullptr) GTEST_SKIP() << "no SSE4.2 in this build or CPU";
+  const std::string data = RandomBytes(size_t{1} << 20, 7);
+  EXPECT_EQ(hw(data.data(), data.size(), 0),
+            internal::Crc32cTable(data.data(), data.size(), 0));
+  EXPECT_EQ(hw(data.data(), data.size(), 0xDEADBEEFu),
+            internal::Crc32cTable(data.data(), data.size(), 0xDEADBEEFu));
+}
+
+TEST(Crc32ParityTest, DispatchedValueIsTheTableValueInEveryMode) {
+  const std::string data = RandomBytes(17 * 1024 + 3, 5);
+  const uint32_t expected =
+      internal::Crc32cTable(data.data(), data.size(), 0);
+  for (simd::KernelMode mode : kCrcModes) {
+    ScopedKernelMode scoped(mode);
+    EXPECT_EQ(Crc32c(data.data(), data.size()), expected)
+        << simd::KernelModeName(mode);
+  }
 }
 
 // -------------------------------------------------------------- stats ----

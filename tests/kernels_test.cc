@@ -23,6 +23,7 @@
 #include "storage/codec.h"
 #include "storage/shard_router.h"
 #include "storage/table.h"
+#include "test_util.h"
 
 namespace oreo {
 namespace {
@@ -32,12 +33,7 @@ constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
 const double kNaN = std::numeric_limits<double>::quiet_NaN();
 const double kInf = std::numeric_limits<double>::infinity();
 
-// Pins the process-wide kernel mode for one scope, restoring kAuto on exit.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(simd::KernelMode m) { simd::SetGlobalKernelMode(m); }
-  ~ScopedKernelMode() { simd::SetGlobalKernelMode(simd::KernelMode::kAuto); }
-};
+using testutil::ScopedKernelMode;
 
 // ------------------------------------------------------------ fixtures ----
 

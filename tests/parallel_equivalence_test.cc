@@ -159,18 +159,14 @@ TEST(ParallelEquivalenceTest, OreoRunBitIdenticalAcrossThreadCounts) {
 // the scalar reference implementations bit-for-bit — same partition CRCs,
 // same scan counters, same costs and switch decisions — at any thread count.
 TEST(ParallelEquivalenceTest, KernelModesBitIdentical) {
-  struct ScopedMode {
-    explicit ScopedMode(simd::KernelMode m) { simd::SetGlobalKernelMode(m); }
-    ~ScopedMode() { simd::SetGlobalKernelMode(simd::KernelMode::kAuto); }
-  };
   for (uint64_t seed : {21u, 22u}) {
     PhysicalFingerprint scalar_fp, vector_fp;
     {
-      ScopedMode mode(simd::KernelMode::kScalar);
+      testutil::ScopedKernelMode mode(simd::KernelMode::kScalar);
       scalar_fp = RunPhysical(seed, /*num_threads=*/4);
     }
     {
-      ScopedMode mode(simd::KernelMode::kVector);
+      testutil::ScopedKernelMode mode(simd::KernelMode::kVector);
       vector_fp = RunPhysical(seed, /*num_threads=*/4);
     }
     ASSERT_FALSE(scalar_fp.mat_crcs.empty());
@@ -183,11 +179,11 @@ TEST(ParallelEquivalenceTest, KernelModesBitIdentical) {
   std::vector<Query> stream = testutil::MakeRangeWorkload(0, 3000, 150, 150, 6);
   SimResult scalar_sim, vector_sim;
   {
-    ScopedMode mode(simd::KernelMode::kScalar);
+    testutil::ScopedKernelMode mode(simd::KernelMode::kScalar);
     scalar_sim = RunOreo(5, 4, t, stream, gen);
   }
   {
-    ScopedMode mode(simd::KernelMode::kVector);
+    testutil::ScopedKernelMode mode(simd::KernelMode::kVector);
     vector_sim = RunOreo(5, 4, t, stream, gen);
   }
   EXPECT_EQ(scalar_sim.query_cost, vector_sim.query_cost);

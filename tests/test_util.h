@@ -17,6 +17,7 @@
 
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/background.h"
 #include "core/physical.h"
 #include "layout/layout.h"
@@ -27,6 +28,13 @@
 
 namespace oreo {
 namespace testutil {
+
+// Pins the process-wide kernel mode for one scope, restoring kAuto on exit.
+class ScopedKernelMode {
+ public:
+  explicit ScopedKernelMode(simd::KernelMode m) { simd::SetGlobalKernelMode(m); }
+  ~ScopedKernelMode() { simd::SetGlobalKernelMode(simd::KernelMode::kAuto); }
+};
 
 // {ts, qty, cat} — event stream used by the core / physical / integration
 // style suites: ts is arrival order, qty uniform in [0, 1000], 4 categories.
