@@ -199,7 +199,7 @@ InterleavedRun RunInterleaved(const Table& table, LayoutGenerator* gen,
       r.visible_rows = applied->visible_rows;
     }
     sw.Restart();
-    core::OreoEngine::StepResult step = engine->Step(stream[qi]);
+    core::StepResult step = engine->Step(stream[qi]);
     r.query_seconds += sw.ElapsedSeconds();
     total_cost += step.query_cost;
   }

@@ -1,18 +1,18 @@
-// Micro-benchmark for PR 4's sharded store:
+// Micro-benchmark for the sharded store:
 //
-//   1. Batched scan throughput: the same query stream executes through a
-//      ShardedOreo at shard counts {1, 2, 4, 8} × facade thread counts
+//   1. Batched scan throughput: the same query stream executes through an
+//      OreoEngine at shard counts {1, 2, 4, 8} × engine thread counts
 //      {1, 8}. Each shard keeps its own k-partition layout, so sharding
 //      both refines pruning (N×k total partitions, plus the range router
-//      skipping whole shards) and widens the parallel fan-out (flat
-//      (shard, query) work items). Total matches are checked identical at
-//      every configuration — the sharded determinism contract.
+//      skipping whole shards) and widens the parallel fan-out (shard-major:
+//      one sub-batch scan per touched shard). Total matches are checked
+//      identical at every configuration — the sharded determinism contract.
 //
 //   2. Reorganization overlap: every shard submits a full rewrite to a
-//      shared ReorgPool; wall clock with 1 worker (serialized, the PR 3
-//      behavior) is compared against one worker per shard (concurrent
-//      per-shard rewrites), recording the observed concurrency high-water
-//      mark.
+//      shared ReorgPool; wall clock with 1 worker (serialized, the engine's
+//      single background rewriter) is compared against one worker per shard
+//      (concurrent per-shard rewrites), recording the observed concurrency
+//      high-water mark.
 //
 // Emits a JSON document (schema documented in docs/BENCHMARKS.md) so the
 // perf trajectory can be recorded run over run.
@@ -34,7 +34,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/background.h"
-#include "core/sharded_oreo.h"
+#include "core/engine.h"
 #include "layout/sorted_layout.h"
 #include "storage/shard_router.h"
 
@@ -66,8 +66,8 @@ Table MakeScanTable(size_t rows, uint64_t seed) {
 // partitions instead of k — cuts the scanned bytes roughly with the shard
 // count, on top of the range router pruning non-overlapping shards
 // outright. A few qty ranges fan out across every shard (sharding must not
-// slow those down much). On multi-core hosts the flat (shard, query)
-// fan-out adds thread scaling on top.
+// slow those down much). On multi-core hosts the shard-major fan-out (one
+// sub-batch scan per touched shard) adds thread scaling on top.
 std::vector<Query> MakeMixedWorkload(size_t n, size_t rows, uint64_t seed) {
   Rng rng(seed);
   std::vector<Query> out;
@@ -127,9 +127,9 @@ ScanRun RunShardedScan(const Table& t, const std::vector<Query>& workload,
   opts.generate_every = workload.size() + 1;
   opts.window_size = 64;
   SortLayoutGenerator gen(0);
-  core::ShardedOreo sharded(&t, &gen, /*time_column=*/0, opts);
+  core::OreoEngine engine(&t, &gen, /*time_column=*/0, opts);
   fs::remove_all(dir);
-  auto attach = sharded.AttachPhysical(dir);
+  auto attach = engine.AttachPhysical(dir);
   OREO_CHECK(attach.ok()) << attach.ToString();
 
   ScanRun r;
@@ -137,7 +137,7 @@ ScanRun RunShardedScan(const Table& t, const std::vector<Query>& workload,
   r.threads = threads;
   Stopwatch sw;
   for (const QueryBatch& b : MakeBatches(workload, 32)) {
-    auto exec = sharded.ExecuteBatchPhysical(b.queries);
+    auto exec = engine.ExecuteBatchPhysical(b.queries);
     OREO_CHECK(exec.ok()) << exec.status().ToString();
     for (const auto& per_query : exec->per_query) r.matches += per_query.matches;
   }

@@ -116,7 +116,7 @@ int main() {
   opts.generate_every = 100;  // alternation needs a faster cadence
   auto oreo = core::MakeEngine(&ds.table, &generator, ds.time_column, opts);
   for (const Query& q : wl.queries) {
-    core::OreoEngine::StepResult step = oreo->Step(q);
+    core::StepResult step = oreo->Step(q);
     if (step.reorganized) {
       std::printf("query %5lld: switch to %-40s\n",
                   static_cast<long long>(q.id),

@@ -38,7 +38,7 @@ int main() {
 
   // Stream the queries through the framework.
   for (const Query& q : wl.queries) {
-    core::OreoEngine::StepResult step = oreo->Step(q);
+    core::StepResult step = oreo->Step(q);
     if (step.reorganized) {
       std::printf("  query %5lld: reorganize -> %s\n",
                   static_cast<long long>(q.id),

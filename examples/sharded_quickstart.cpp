@@ -1,7 +1,7 @@
 // Sharded quickstart: run OREO over a horizontally sharded table with
-// concurrent per-shard background reorganizations.
+// per-shard background reorganizations.
 //
-// Each shard runs its own independent engine (LayoutManager + D-UMTS), so
+// Each shard runs its own independent Oreo core (LayoutManager + D-UMTS), so
 // the paper's worst-case guarantee holds shard by shard while batches fan
 // out across shards; the range router prunes shards a query's time
 // predicate cannot touch, like a coarse zone map.
@@ -31,9 +31,9 @@ int main() {
   wopts.seed = 3;
   workloads::Workload wl = workloads::GenerateWorkload(ds.templates, wopts);
 
-  // 3. OREO sharded 4 ways on the time column (range routing), one engine
-  //    per shard, behind the unified MakeEngine handle. The same
-  //    OreoOptions knobs drive every shard; shard engines derive their own
+  // 3. OREO sharded 4 ways on the time column (range routing), one Oreo
+  //    core per shard, behind the unified MakeEngine handle. The same
+  //    OreoOptions knobs drive every shard; shard cores derive their own
   //    seeds. (Set num_shards = 1 and this very code runs one shard over
   //    the whole table; set opts.storage_backend and the bytes move off
   //    disk.)
@@ -45,9 +45,9 @@ int main() {
   opts.shard_routing = ShardRouting::kRange;
   auto oreo = core::MakeEngine(&ds.table, &generator, ds.time_column, opts);
 
-  // 4. Physical stores, one directory per shard, plus a shared background
-  //    pool that reorganizes shards concurrently (still at most one rewrite
-  //    in flight per shard).
+  // 4. Physical stores, one directory per shard, plus the table's single
+  //    background rewriter: shards rewrite one after another while queries
+  //    keep serving from their snapshots.
   std::string dir =
       (std::filesystem::temp_directory_path() / "oreo_sharded_quickstart")
           .string();

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(applied->visible_rows),
                   applied->folded ? " (deltas compacted into the base)" : "");
     }
-    core::OreoEngine::StepResult step = oreo->Step(q);
+    core::StepResult step = oreo->Step(q);
     window_cost += step.query_cost;
     ++window_n;
     if (step.reorganized) {

@@ -1,8 +1,12 @@
-// The client handle: tests, benches, examples, the server and replay drive
-// every (sharding x storage backend) combination through this interface.
-// There is one engine path — MakeEngine always builds the `ShardedOreo`
-// facade, which runs one logical `Oreo` core plus one physical store per
-// shard; `num_shards = 1` is simply one shard.
+// The OREO engine: the client handle tests, benches, examples, the server and
+// replay drive every (sharding x storage backend) combination through. It
+// splits the table into `OreoOptions::num_shards` horizontal shards
+// (ShardRouter over `shard_column`, hash or range routing), runs one logical
+// `Oreo` core per shard — LayoutManager, D-UMTS instance and state registry —
+// plus, after AttachPhysical, that shard's store, and routes every query to
+// exactly the shards its routing-column predicates can touch. Range routing
+// prunes shards like a coarse zone map, so a selective query often runs on a
+// single shard. `num_shards = 1` is simply one shard over the whole table.
 //
 //   core::OreoOptions opts;
 //   opts.num_shards = 4;                       // 1 = one shard, same code
@@ -16,139 +20,96 @@
 //   }
 //   engine->WaitForReorgs();
 //
-// Determinism contract (pinned by tests/backend_equivalence_test.cc): for a
-// fixed seed and workload, costs, switch decisions, decision traces, scan
-// counters and materialized partition bytes are identical across storage
-// backends, thread counts and batch sizes; only wall-clock seconds vary.
+// Determinism contract (pinned by tests/sharded_equivalence_test.cc and
+// tests/backend_equivalence_test.cc):
+//   - a 1-shard engine is bit-identical to a bare logical Oreo — costs,
+//     switch decisions and decision traces;
+//   - for a fixed seed and workload, costs, switch decisions, decision
+//     traces, scan counters and materialized partition bytes are identical
+//     across storage backends, thread counts and batch sizes: decisions
+//     inside a shard are sequential in sub-stream order, shards are
+//     independent, and every fan-out stages per-slot results reduced
+//     serially in stream order. Only wall-clock seconds vary.
+//
+// Cost accounting: shard costs are row-weighted. c(s, q) is the *fraction*
+// of a table's rows a query must touch, so the merged per-query cost is
+//   sum over touched shards of (shard rows / total rows) * c_shard(q),
+// and each shard switch charges (shard rows / total rows) * alpha — pruned
+// shards contribute zero, exactly like partitions skipped by a zone map.
+// With one shard the weight is 1 and the accounting collapses to Oreo's.
+// Theorem IV.1 holds per shard in shard-local units; scaling a shard's ALG
+// and OPT by the same weight preserves every ratio, so the worst-case
+// guarantee survives sharding shard by shard.
+//
+// Physical mode (the paper's REORGANIZER, §III-B): AttachPhysical gives
+// every shard a store under `base_dir/shard_NNN`. A batch executes
+// shard-major: one PhysicalStore::ExecuteQueryBatchOnSnapshot call per
+// touched shard against its pinned snapshot, fanned out over shards, so a
+// shard's blocks stay cache-resident while its whole sub-batch reads them.
+// One background rewriter serves the table, as in the paper — shards
+// rewrite one after another — and SyncPhysical reconciles snapshots and
+// submits newly needed rewrites at batch boundaries.
 #ifndef OREO_CORE_ENGINE_H_
 #define OREO_CORE_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
+#include "core/background.h"
+#include "core/oreo.h"
 #include "core/physical.h"
-#include "core/simulator.h"
 #include "query/query.h"
+#include "storage/shard_router.h"
 #include "storage/table.h"
 
 namespace oreo {
 namespace core {
 
-class Oreo;
-struct OreoOptions;
-
-namespace internal {
-
-/// Debug detector for the engines' external-synchronization contract.
-///
-/// The online algorithm is inherently sequential — every query updates the
-/// window, the admission samples and the D-UMTS counters — so Step / RunBatch
-/// / RunTrace require external synchronization: at most one caller thread may
-/// be inside the engine at a time (nested entry from the same thread is fine;
-/// RunBatch runs through the Step code path). Violations used to corrupt
-/// state silently; the guard makes them abort in debug builds instead. Use
-/// `BatchSubmitter` (below) when multiple producer threads must feed one
-/// engine. All counters are relaxed atomics, so the guard itself is
-/// data-race-free under TSan; release (NDEBUG) builds compile it away.
-class SingleCallerGuard {
- public:
-  class Scope {
-   public:
-    explicit Scope(SingleCallerGuard* guard);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-#ifndef NDEBUG
-    SingleCallerGuard* guard_;
-#endif
-  };
-
- private:
-#ifndef NDEBUG
-  std::atomic<int> depth_{0};
-  std::atomic<std::thread::id> owner_{};
-#endif
-};
-
-}  // namespace internal
-
-/// Per-shard traces plus merged accounting from OreoEngine::RunTrace.
-/// A 1-shard engine fills exactly one slot (the whole stream).
-struct EngineSimResult {
-  /// Per-shard simulation results, in shard-local (unweighted) units —
-  /// feed these to the per-shard competitive-ratio machinery.
-  std::vector<SimResult> shards;
-  /// The sub-stream each shard observed, in stream order.
-  std::vector<std::vector<Query>> shard_streams;
-  /// Row-weighted merged accounting (1 shard: equals the SimResult totals).
-  double query_cost = 0.0;
-  double reorg_cost = 0.0;
-  int64_t num_switches = 0;
-  double total_cost() const { return query_cost + reorg_cost; }
-};
-
-/// One live mutation batch: rows to append plus delete predicates. The
-/// deletes apply to the rows visible *before* the batch (rows appended by
-/// the same batch are exempt); an empty-conjunct delete query deletes every
-/// visible row. `rows` must match the engine table's schema (an empty table
-/// — zero rows — is fine for delete-only batches).
-struct IngestBatch {
-  Table rows;
-  std::vector<Query> deletes;
-};
-
-/// Outcome of one OreoEngine::Ingest call. The batch is the visibility unit:
-/// its mutations became query-visible atomically when the call returned.
-struct IngestResult {
-  uint64_t version = 0;        ///< monotonic batch version (facade-level
-                               ///< when sharded; per-shard logs advance too)
-  uint64_t rows_appended = 0;  ///< rows appended by this batch
-  uint64_t rows_deleted = 0;   ///< rows tombstoned by this batch
-  uint64_t visible_rows = 0;   ///< logical row count after the batch
-  bool folded = false;         ///< the batch triggered a compaction fold
-};
-
-/// Online data-layout reorganization behind one handle, logical and
-/// physical. Implemented by the `ShardedOreo` facade (see MakeEngine).
+/// Online data-layout reorganization over a horizontally sharded table (one
+/// shard or many), logical and physical, behind one handle.
 class OreoEngine {
  public:
-  virtual ~OreoEngine() = default;
+  /// `table` and `generator` must outlive this object. Shard cores are
+  /// configured from `options` with per-shard derived seeds (shard 0 keeps
+  /// the master seed). `options.shard_column == -1` routes on `time_column`.
+  OreoEngine(const Table* table, const LayoutGenerator* generator,
+             int time_column, const OreoOptions& options);
+  /// Joins the worker pools, frees the cores and shard tables, and returns
+  /// the freed heap to the OS (glibc's malloc_trim).
+  ~OreoEngine();
 
-  /// Outcome of one streamed query, merged across whatever served it.
-  struct StepResult {
-    int state;          ///< serving layout (single-engine step; the sharded
-                        ///< facade reports -1 when several shards served)
-    bool reorganized;   ///< a reorganization was initiated on this query
-    double query_cost;  ///< c(state, q), row-weighted when sharded
-  };
+  OreoEngine(const OreoEngine&) = delete;
+  OreoEngine& operator=(const OreoEngine&) = delete;
 
-  /// Outcome of one batched step: per-query results in stream order plus
-  /// the batch's cost/switch totals.
-  struct BatchResult {
-    std::vector<StepResult> steps;
-    double query_cost = 0.0;   ///< sum of per-query costs in this batch
-    int64_t num_switches = 0;  ///< queries that initiated a reorganization
-  };
+  /// Streaming API: routes one query, steps every touched shard, and returns
+  /// the merged outcome (see RunBatch).
+  StepResult Step(const Query& query);
 
-  /// Streaming API: observe one query, get the serving layout and any
-  /// reorganization decision.
-  virtual StepResult Step(const Query& query) = 0;
+  /// Batched streaming API: routes each query in stream order, fans the
+  /// per-shard sub-batches out across the pool (decisions stay sequential
+  /// within a shard), and merges per-query results serially in stream order,
+  /// so results are bit-identical to calling Step per query. A query's
+  /// `state` is the serving layout when exactly one shard served it, -1
+  /// otherwise (per-shard states live in core(s)); its cost is the
+  /// row-weighted sum over the touched shards.
+  ///
+  /// External-synchronization contract: like Oreo::RunBatch, the engine
+  /// assumes a single caller — concurrent Step / RunBatch / RunTrace / Ingest
+  /// callers would interleave routing and per-shard decision state and abort
+  /// under the debug assert (internal::SingleCallerGuard). Serialize
+  /// multi-producer submission through a core::BatchSubmitter.
+  BatchResult RunBatch(const QueryBatch& batch);
 
-  /// Batched streaming API; decisions are made in stream order, so results
-  /// are bit-identical to calling Step per query.
-  virtual BatchResult RunBatch(const QueryBatch& batch) = 0;
-
-  /// Convenience API: run a whole stream and return per-engine traces plus
-  /// merged accounting. Intended for a fresh instance.
-  virtual EngineSimResult RunTrace(const std::vector<Query>& queries,
-                                   bool record_trace = false) = 0;
+  /// Convenience API: routes the whole stream, runs every shard core's
+  /// simulation, and returns per-shard traces plus merged accounting.
+  /// Intended for a fresh instance (mirrors Oreo::Run).
+  EngineSimResult RunTrace(const std::vector<Query>& queries,
+                           bool record_trace = false);
 
   // --- live ingest ---------------------------------------------------------
 
@@ -157,75 +118,145 @@ class OreoEngine {
   /// rows are published as zone-mapped delta chunks, and everything becomes
   /// query-visible atomically before the call returns — the Ingest call IS
   /// the batch boundary, so visibility is a pure function of the request
-  /// interleaving (same external-synchronization contract as Step/RunBatch;
-  /// multiplexing front ends go through BatchSubmitter::RunIngest). When the
-  /// mutation debt crosses OreoOptions::fold_threshold the engine compacts:
-  /// tombstones drop out, delta chunks fold into the base, the physical
-  /// layout rematerializes, and the layout manager redraws its dataset
-  /// sample. Sharded engines route rows through their ShardRouter and apply
-  /// per-shard batches in ascending shard order.
-  virtual Result<IngestResult> Ingest(IngestBatch batch) = 0;
+  /// interleaving (multiplexing front ends go through
+  /// BatchSubmitter::RunIngest). When a shard's mutation debt crosses
+  /// OreoOptions::fold_threshold it compacts: tombstones drop out, delta
+  /// chunks fold into the base, the physical layout rematerializes, and the
+  /// layout manager redraws its dataset sample.
+  ///
+  /// Routing: the batch always goes through ingest::SplitIngest, which
+  /// copies the appended rows into per-shard slices by the routing column
+  /// (ShardRouter::SplitRows) and sends every delete query to each shard it
+  /// can touch (ShardsForQuery, conservative-complete). The slices apply
+  /// serially in ascending shard order, so the sequence of mutations a shard
+  /// sees is a deterministic function of the batch stream, independent of
+  /// threads; a 1-shard engine stays bit-identical to a bare Oreo. The whole
+  /// batch is validated up front (schema + delete columns) so a rejected
+  /// batch leaves no shard partially applied.
+  ///
+  /// Row weights are recomputed from the shards' post-ingest physical scan
+  /// sizes (base + delta rows), keeping the merged cost accounting
+  /// consistent with what each shard's LiveCost normalizes by. With a
+  /// physical layer attached, in-flight rewrites are quiesced first (a fold
+  /// rematerializes registry layouts a running rewrite may read), folded
+  /// shards are re-materialized from their folded base, and every mutated
+  /// shard's scan overlay is rebuilt against its pinned snapshot.
+  ///
+  /// The returned version is an engine-level batch counter; per-shard
+  /// versions advance only on shards the batch touched (idle shards see no
+  /// batch boundary).
+  Result<IngestResult> Ingest(IngestBatch batch);
 
   // --- accounting ---------------------------------------------------------
 
-  virtual double total_query_cost() const = 0;
-  virtual double total_reorg_cost() const = 0;
-  virtual int64_t num_switches() const = 0;
+  /// Row-weighted totals across shards (1 shard: identical to Oreo's).
+  double total_query_cost() const;
+  double total_reorg_cost() const;
+  /// Total shard switches across all shards.
+  int64_t num_switches() const;
   double total_cost() const { return total_query_cost() + total_reorg_cost(); }
 
-  // --- trace / introspection ----------------------------------------------
+  // --- introspection ------------------------------------------------------
 
-  /// Number of independent per-shard engines (>= 1).
-  virtual size_t num_shards() const = 0;
+  /// Number of shards (>= 1).
+  size_t num_shards() const { return shards_.size(); }
 
   /// The shard's logical core — registry, manager, strategy and trace
   /// accessors live there. `shard` must be < num_shards().
-  virtual Oreo& core(size_t shard) = 0;
-  virtual const Oreo& core(size_t shard) const = 0;
+  Oreo& core(size_t shard) { return *shards_[shard].oreo; }
+  const Oreo& core(size_t shard) const { return *shards_[shard].oreo; }
 
   // --- physical execution -------------------------------------------------
 
-  /// Creates the engine's on-disk (or in-memory, per
-  /// OreoOptions::storage_backend) stores under `base_dir/shard_NNN`,
-  /// materializes the current layout(s), and starts the background rewrite
-  /// machinery.
-  virtual Status AttachPhysical(const std::string& base_dir,
-                                size_t store_threads = 1,
-                                size_t reorg_workers = 0) = 0;
-  virtual bool has_physical() const = 0;
+  /// Creates one PhysicalStore per shard under `base_dir/shard_NNN` (through
+  /// OreoOptions::storage_backend, wrapped in a shard-charged view of
+  /// OreoOptions::shared_cache when set), materializes every shard's current
+  /// layout, and starts the background rewriter. All or nothing: when any
+  /// shard fails, every shard is detached again, so the call can be retried.
+  Status AttachPhysical(const std::string& base_dir, size_t store_threads = 1);
+  bool has_physical() const { return reorg_pool_ != nullptr; }
 
   /// The shard's store (nullptr before AttachPhysical).
-  virtual PhysicalStore* store(size_t shard) = 0;
+  PhysicalStore* store(size_t shard) { return shards_[shard].store.get(); }
 
-  /// Executes a batch against the pinned snapshot(s): per-query counters in
-  /// stream order, layout- and thread-count-invariant.
-  virtual Result<PhysicalStore::BatchExec> ExecuteBatchPhysical(
-      const std::vector<Query>& queries) = 0;
+  /// Executes a batch against the pinned per-shard snapshots, shard-major:
+  /// each touched shard scans its sub-batch (stream order) in one
+  /// ExecuteQueryBatchOnSnapshot call — which also prefetches the later
+  /// queries' partitions when the backend can — and the calls fan out over
+  /// shards. Per-query counters are summed across touched shards and reduced
+  /// serially in stream order. Counter totals (matches above all) are
+  /// layout- and thread-count-invariant.
+  Result<PhysicalStore::BatchExec> ExecuteBatchPhysical(
+      const std::vector<Query>& queries);
 
-  /// Batch-boundary reconciliation: adopts finished background rewrites and
-  /// submits newly needed ones. Returns the number of rewrites submitted.
-  virtual size_t SyncPhysical() = 0;
+  /// Batch-boundary reconciliation: adopts finished background rewrites
+  /// (refresh snapshot, vacuum superseded files, update the materialized
+  /// state) and submits a rewrite for every shard whose logical serving
+  /// layout moved ahead of its materialized one. At most one rewrite is in
+  /// flight per shard. Returns the number of rewrites submitted.
+  size_t SyncPhysical();
 
-  /// Blocks until no rewrite is queued or running, then reconciles.
-  virtual void WaitForReorgs() = 0;
+  /// Blocks until no shard has a rewrite queued or running, then reconciles.
+  void WaitForReorgs();
 
-  /// Replays a recorded decision trace physically into `dir` (one
-  /// `shard_NNN` subdirectory per shard), through the engine's storage
-  /// backend. `sim` must come from RunTrace(..., record_trace=true) on this
-  /// engine. Counters are bit-identical at any `num_threads`/`batch_size`.
-  virtual Result<PhysicalReplayResult> ReplayTrace(
-      const EngineSimResult& sim, size_t stride, const std::string& dir,
-      size_t num_threads = 0, size_t batch_size = 1) const = 0;
+  /// Replays per-shard decision traces physically: every shard runs
+  /// ReplayPhysical over its own sub-stream, trace and registry, into
+  /// `dir/shard_NNN` through its own view of the storage backend (and of the
+  /// shared cache, when set); counters are summed across shards. `sim` must
+  /// come from RunTrace(..., record_trace=true) on this engine. Counters are
+  /// bit-identical at any `num_threads`/`batch_size`.
+  Result<PhysicalReplayResult> ReplayTrace(const EngineSimResult& sim,
+                                           size_t stride,
+                                           const std::string& dir,
+                                           size_t num_threads = 0,
+                                           size_t batch_size = 1) const;
+
+ private:
+  /// One shard: its logical core plus, after AttachPhysical, its store, the
+  /// snapshot batches execute against (refreshed only at reconciliation
+  /// points, never mid-batch) and the registry ids SyncPhysical reconciles.
+  struct Shard {
+    std::unique_ptr<Oreo> oreo;
+    std::unique_ptr<PhysicalStore> store;
+    PhysicalStore::Snapshot snapshot;
+    /// The layout currently materialized in the store.
+    int materialized_state = -1;
+    /// The target of the in-flight background rewrite, if any.
+    std::optional<int> pending_target;
+    /// The last rewrite target that *failed*, if any. It is not resubmitted
+    /// until the desired state moves on, so a persistently failing shard
+    /// cannot trap reconciliation in a retry loop (the error stays visible
+    /// via ReorgPool::last_status).
+    std::optional<int> failed_target;
+  };
+
+  /// Re-materializes a folded shard's store from its folded base and adopts
+  /// the fresh snapshot (fold = compaction: same layout, fewer rows).
+  Status RematerializeShard(Shard& shard);
+
+  ShardRouter router_;
+  mutable internal::SingleCallerGuard caller_guard_;
+  std::vector<Table> shard_tables_;  // per-shard rows; empty for 1 shard
+  std::vector<Shard> shards_;
+  std::vector<double> weights_;  // shard rows / total rows
+  uint64_t ingest_version_ = 0;  ///< engine-level ingest batch counter
+  // Batch fan-out across shards; never more threads than shards.
+  std::unique_ptr<ThreadPool> pool_;
+  // Reset first by the destructor: in-flight rewrite callbacks touch
+  // shards/stores and must never outlive them.
+  std::unique_ptr<ReorgPool> reorg_pool_;
 };
 
-/// Builds the engine `options` describe: the `ShardedOreo` facade over
-/// `options.num_shards` shards, each with its own logical `Oreo` core (and,
-/// after AttachPhysical, its own store). `table` and `generator` must
-/// outlive the returned engine.
+/// Builds the engine `options` describe: `options.num_shards` shards, each
+/// with its own logical `Oreo` core (and, after AttachPhysical, its own
+/// store). `table` and `generator` must outlive the returned engine.
 std::unique_ptr<OreoEngine> MakeEngine(const Table* table,
                                        const LayoutGenerator* generator,
                                        int time_column,
                                        const OreoOptions& options);
+
+/// Shard subdirectory name used by AttachPhysical and ReplayTrace.
+std::string ShardDirName(const std::string& base_dir, uint32_t shard);
 
 /// The reusable batch-submission hook: serializes batch submission from many
 /// producer threads onto one engine.
@@ -245,14 +276,14 @@ class BatchSubmitter {
   explicit BatchSubmitter(OreoEngine* engine) : engine_(engine) {}
 
   /// Runs the batch's logical decisions under the submission lock.
-  OreoEngine::BatchResult Run(const QueryBatch& batch);
+  BatchResult Run(const QueryBatch& batch);
 
   /// Runs the batch logically, executes it against the engine's pinned
   /// snapshot(s), then reconciles background rewrites at the batch boundary
   /// (SyncPhysical) — all under the submission lock. `logical` (optional)
   /// receives the decision results. Requires AttachPhysical.
   Result<PhysicalStore::BatchExec> RunPhysical(
-      const QueryBatch& batch, OreoEngine::BatchResult* logical = nullptr);
+      const QueryBatch& batch, BatchResult* logical = nullptr);
 
   /// Applies one mutation batch under the submission lock, so ingest and
   /// query batches from different producers interleave only at batch

@@ -4,6 +4,35 @@
 
 namespace oreo {
 namespace core {
+namespace internal {
+
+#ifndef NDEBUG
+SingleCallerGuard::Scope::Scope(SingleCallerGuard* guard) : guard_(guard) {
+  int prev = guard_->depth_.fetch_add(1, std::memory_order_acq_rel);
+  if (prev == 0) {
+    guard_->owner_.store(std::this_thread::get_id(),
+                         std::memory_order_release);
+  } else {
+    // Re-entry from the owning thread (RunBatch -> Step) is fine; a second
+    // thread inside the engine is the silent-corruption bug this exists to
+    // catch.
+    OREO_CHECK(guard_->owner_.load(std::memory_order_acquire) ==
+               std::this_thread::get_id())
+        << "concurrent Step/RunBatch callers on one engine: the online "
+           "algorithm is sequential and requires external synchronization "
+           "(wrap the engine in a core::BatchSubmitter)";
+  }
+}
+
+SingleCallerGuard::Scope::~Scope() {
+  guard_->depth_.fetch_sub(1, std::memory_order_acq_rel);
+}
+#else
+SingleCallerGuard::Scope::Scope(SingleCallerGuard*) {}
+SingleCallerGuard::Scope::~Scope() = default;
+#endif
+
+}  // namespace internal
 
 namespace {
 
@@ -59,7 +88,7 @@ Oreo::Oreo(const Table* table, const LayoutGenerator* generator,
 
 Oreo::~Oreo() = default;
 
-Oreo::StepResult Oreo::Step(const Query& query) {
+StepResult Oreo::Step(const Query& query) {
   internal::SingleCallerGuard::Scope single_caller(&caller_guard_);
   std::vector<ManagerEvent> events =
       manager_->Observe(query, strategy_->current_state());
@@ -84,7 +113,7 @@ Oreo::StepResult Oreo::Step(const Query& query) {
   return StepResult{physical_state_, switches_now > 0, cost};
 }
 
-Oreo::BatchResult Oreo::RunBatch(const QueryBatch& batch) {
+BatchResult Oreo::RunBatch(const QueryBatch& batch) {
   internal::SingleCallerGuard::Scope single_caller(&caller_guard_);
   BatchResult result;
   result.steps.reserve(batch.size());
@@ -153,7 +182,7 @@ Result<IngestResult> Oreo::Ingest(IngestBatch batch) {
   }
 
   // The scan overlay borrows pointers into live_, which Apply and Fold
-  // invalidate: drop it until the facade rebuilds it against its snapshot.
+  // invalidate: drop it until the engine rebuilds it against its snapshot.
   RebuildLiveView(nullptr);
   const bool appended = batch.rows.num_rows() > 0;
   ingest::LiveTable::ApplyStats stats = live_.Apply(

@@ -2,9 +2,9 @@
 // (paper Figure 1) for one table, and the live-ingest overlay its costs and
 // scans account for. It owns no files: the REORGANIZER half — the physical
 // store, pinned snapshots and background rewrites — lives in the engine
-// facade (core/sharded_oreo.h), which runs one Oreo per shard. Build engines
-// with core::MakeEngine; use an Oreo directly for logical-only work
-// (simulation, cost studies, the paper figures).
+// (core/engine.h), which runs one Oreo per shard. Build engines with
+// core::MakeEngine; use an Oreo directly for logical-only work (simulation,
+// cost studies, the paper figures).
 //
 // Typical use:
 //   QdTreeGenerator gen;
@@ -18,12 +18,16 @@
 #ifndef OREO_CORE_OREO_H_
 #define OREO_CORE_OREO_H_
 
+#include <atomic>
 #include <deque>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/simd.h"
-#include "core/engine.h"
+#include "common/status.h"
 #include "core/layout_manager.h"
+#include "core/physical.h"
 #include "core/simulator.h"
 #include "core/state_registry.h"
 #include "core/strategy.h"
@@ -65,7 +69,7 @@ struct OreoOptions {
   /// per hardware core, 1 = serial. Determinism contract: costs, switch
   /// decisions and traces are bit-identical at any thread count.
   size_t num_threads = 0;
-  /// --- sharding (consumed by the engine facade; a bare Oreo ignores them)
+  /// --- sharding (consumed by OreoEngine; a bare Oreo ignores them)
   /// Number of horizontal shards; each shard runs its own independent
   /// engine (LayoutManager + D-UMTS + PhysicalStore), preserving the
   /// per-shard competitive guarantee. 1 = one shard over the whole table.
@@ -104,15 +108,102 @@ struct OreoOptions {
   uint64_t seed = 42;  ///< master seed; sub-components derive their own
 };
 
+/// Outcome of one streamed query.
+struct StepResult {
+  int state;          ///< serving layout (the engine reports -1 when several
+                      ///< shards served the query)
+  bool reorganized;   ///< a reorganization was initiated on this query
+  double query_cost;  ///< c(state, q), row-weighted across the engine's shards
+};
+
+/// Outcome of one batched step: per-query results in stream order plus the
+/// batch's cost/switch totals.
+struct BatchResult {
+  std::vector<StepResult> steps;
+  double query_cost = 0.0;   ///< sum of per-query costs in this batch
+  int64_t num_switches = 0;  ///< queries that initiated a reorganization
+};
+
+/// Per-shard traces plus merged accounting from OreoEngine::RunTrace.
+/// A 1-shard engine fills exactly one slot (the whole stream).
+struct EngineSimResult {
+  /// Per-shard simulation results, in shard-local (unweighted) units —
+  /// feed these to the per-shard competitive-ratio machinery.
+  std::vector<SimResult> shards;
+  /// The sub-stream each shard observed, in stream order.
+  std::vector<std::vector<Query>> shard_streams;
+  /// Row-weighted merged accounting (1 shard: equals the SimResult totals).
+  double query_cost = 0.0;
+  double reorg_cost = 0.0;
+  int64_t num_switches = 0;
+  double total_cost() const { return query_cost + reorg_cost; }
+};
+
+/// One live mutation batch: rows to append plus delete predicates. The
+/// deletes apply to the rows visible *before* the batch (rows appended by
+/// the same batch are exempt); an empty-conjunct delete query deletes every
+/// visible row. `rows` must match the engine table's schema (an empty table
+/// — zero rows — is fine for delete-only batches).
+struct IngestBatch {
+  Table rows;
+  std::vector<Query> deletes;
+};
+
+/// Outcome of one Ingest call. The batch is the visibility unit: its
+/// mutations became query-visible atomically when the call returned.
+struct IngestResult {
+  uint64_t version = 0;        ///< monotonic batch version (engine-level
+                               ///< when sharded; per-shard logs advance too)
+  uint64_t rows_appended = 0;  ///< rows appended by this batch
+  uint64_t rows_deleted = 0;   ///< rows tombstoned by this batch
+  uint64_t visible_rows = 0;   ///< logical row count after the batch
+  bool folded = false;         ///< the batch triggered a compaction fold
+};
+
+namespace internal {
+
+/// Debug detector for the external-synchronization contract of Oreo and
+/// OreoEngine.
+///
+/// The online algorithm is inherently sequential — every query updates the
+/// window, the admission samples and the D-UMTS counters — so Step / RunBatch
+/// / RunTrace require external synchronization: at most one caller thread may
+/// be inside the engine at a time (nested entry from the same thread is fine;
+/// RunBatch runs through the Step code path). Violations used to corrupt
+/// state silently; the guard makes them abort in debug builds instead. Use
+/// `BatchSubmitter` (core/engine.h) when multiple producer threads must feed
+/// one engine. All counters are relaxed atomics, so the guard itself is
+/// data-race-free under TSan; release (NDEBUG) builds compile it away.
+class SingleCallerGuard {
+ public:
+  class Scope {
+   public:
+    explicit Scope(SingleCallerGuard* guard);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+#ifndef NDEBUG
+    SingleCallerGuard* guard_;
+#endif
+  };
+
+ private:
+#ifndef NDEBUG
+  std::atomic<int> depth_{0};
+  std::atomic<std::thread::id> owner_{};
+#endif
+};
+
+}  // namespace internal
+
 /// Online data-layout decisions with worst-case guarantees for one table:
 /// layout states, costs and switch decisions, plus the live-ingest overlay.
-/// Logical only — the engine facade attaches the physical store and
-/// rebuilds the scan overlay (RebuildLiveView) against its snapshots.
+/// Logical only — the engine attaches the physical store and rebuilds the
+/// scan overlay (RebuildLiveView) against its snapshots.
 class Oreo {
  public:
-  using StepResult = OreoEngine::StepResult;
-  using BatchResult = OreoEngine::BatchResult;
-
   /// `table` and `generator` must outlive this object. `time_column` defines
   /// the initial default layout (sort by arrival time).
   Oreo(const Table* table, const LayoutGenerator* generator, int time_column,
@@ -178,13 +269,13 @@ class Oreo {
   /// Number of compaction folds performed so far.
   uint64_t folds() const { return folds_; }
   /// The tombstone/delta overlay for snapshot scans, or nullptr when no
-  /// mutation is pending or no overlay was built. The facade threads this
+  /// mutation is pending or no overlay was built. The engine threads this
   /// into its per-shard ExecuteQueryBatchOnSnapshot calls.
   const PhysicalStore::LiveScanView* live_scan_view() const {
     return live_view_active_ ? &live_view_ : nullptr;
   }
   /// Rebuilds the overlay against `instance`'s partitioning — the layout the
-  /// caller's snapshot serves. The facade calls this after every ingest and
+  /// caller's snapshot serves. The engine calls this after every ingest and
   /// snapshot refresh, never mid-batch. Passing nullptr deactivates the view.
   void RebuildLiveView(const LayoutInstance* instance);
 

@@ -10,7 +10,7 @@
 // nothing.
 //
 // The split itself is pure and deterministic (no engine state), so
-// ShardedOreo can route first and then apply per-shard batches in ascending
+// OreoEngine can route first and then apply per-shard batches in ascending
 // shard order — the serial application order that keeps the sharded engine
 // bit-identical to per-shard serial references.
 #ifndef OREO_INGEST_COORDINATOR_H_

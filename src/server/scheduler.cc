@@ -285,7 +285,7 @@ void FairScheduler::FlushQueryRun(TenantState* tenant,
     tenant->executed += run->size();
   }
 
-  core::OreoEngine::BatchResult logical;
+  core::BatchResult logical;
   const bool physical = tenant->engine->has_physical();
   Status exec_status;
   std::vector<core::PhysicalStore::QueryExec> per_query;
@@ -309,7 +309,7 @@ void FairScheduler::FlushQueryRun(TenantState* tenant,
     PendingRequest& request = *(*run)[i];
     QueryReply reply;
     if (i < logical.steps.size()) {
-      const core::OreoEngine::StepResult& step = logical.steps[i];
+      const core::StepResult& step = logical.steps[i];
       reply.status = ReplyStatus::kOk;
       reply.executed = true;
       reply.state = step.state;

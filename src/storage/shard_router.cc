@@ -215,7 +215,7 @@ bool ShardRouter::RangeShardCanMatch(uint32_t shard,
 
 std::vector<uint32_t> ShardRouter::ShardsForQuery(const Query& query) const {
   // A single shard is the whole table: nothing to prune. (This also keeps
-  // the 1-shard facade bit-identical to a bare Oreo core for degenerate
+  // the 1-shard engine bit-identical to a bare Oreo core for degenerate
   // predicates — e.g. an empty IN list — that prove no shard can match.)
   if (num_shards_ == 1) return {0};
   std::vector<bool> keep(num_shards_, true);

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/physical.h"
 #include "layout/sorted_layout.h"
 #include "query/query.h"
@@ -93,8 +95,8 @@ TEST(StorageBackendTest, BlockAndMetadataBytesAreBackendInvariant) {
 
 // ----------------------------------------------- failure propagation -----
 
-// Test double: forwards to a wrapped backend but fails the Nth write whose
-// path contains `fail_substring`.
+// Test double: forwards to a wrapped backend but fails every write whose
+// path contains `fail_substring`, from the Nth on, until Heal().
 class FaultInjectionBackend : public StorageBackend {
  public:
   FaultInjectionBackend(std::shared_ptr<StorageBackend> base,
@@ -127,6 +129,8 @@ class FaultInjectionBackend : public StorageBackend {
   Status Sync() override { return base_->Sync(); }
   BackendStats stats() const override { return base_->stats(); }
 
+  void Heal() { remaining_ = INT64_MAX; }
+
  private:
   std::shared_ptr<StorageBackend> base_;
   std::string fail_substring_;
@@ -151,6 +155,45 @@ TEST(PhysicalStoreFaultTest, FailedMaterializationLeavesNoTornFiles) {
   EXPECT_TRUE(leftover->empty())
       << leftover->size() << " torn partition files left behind, first: "
       << leftover->front();
+}
+
+// AttachPhysical is all or nothing: when a later shard fails to materialize,
+// the shards before it give their stores back, so the engine reports no
+// physical layer, keeps no half-attached store, and a retry succeeds.
+TEST(PhysicalStoreFaultTest, FailedAttachDetachesEveryShardAndRetries) {
+  Table t = testutil::MakeEventTable(2000, 47);
+  SortLayoutGenerator gen(0);
+  auto faulty = std::make_shared<FaultInjectionBackend>(MakeInMemoryBackend(),
+                                                        "shard_001/", 0);
+  core::OreoOptions opts;
+  opts.num_shards = 2;
+  opts.num_threads = 1;
+  opts.target_partitions = 8;
+  opts.storage_backend = faulty;
+  std::unique_ptr<core::OreoEngine> engine =
+      core::MakeEngine(&t, &gen, /*time_column=*/0, opts);
+  std::string dir = testutil::ScratchDir("fault_attach");
+
+  Status first = engine->AttachPhysical(dir);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.code(), StatusCode::kIoError);
+  EXPECT_FALSE(engine->has_physical());
+  for (size_t s = 0; s < engine->num_shards(); ++s) {
+    EXPECT_EQ(engine->store(s), nullptr) << "shard " << s << " kept a store";
+  }
+
+  faulty->Heal();
+  Status retry = engine->AttachPhysical(dir);
+  ASSERT_TRUE(retry.ok()) << retry.ToString();
+  std::vector<Query> queries =
+      testutil::MakeRangeWorkload(0, 2000, 150, 20, 48);
+  queries.push_back(Query{});
+  auto exec = engine->ExecuteBatchPhysical(queries);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(exec->per_query[i].matches, CountMatches(t, queries[i]))
+        << "query " << i;
+  }
 }
 
 TEST(PhysicalStoreFaultTest, FailedReorganizationKeepsServingOldLayout) {

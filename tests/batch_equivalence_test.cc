@@ -92,7 +92,7 @@ struct LogicalFingerprint {
   }
 };
 
-void RecordStep(const Oreo::StepResult& step, LogicalFingerprint* fp) {
+void RecordStep(const StepResult& step, LogicalFingerprint* fp) {
   fp->states.push_back(step.state);
   fp->costs.push_back(step.query_cost);
   fp->reorganized.push_back(step.reorganized);
@@ -126,10 +126,10 @@ TEST(BatchEquivalenceTest, RunBatchMatchesStepAtEveryBatchSizeAndThreadCount) {
       Oreo oreo(&t, &gen, /*time_column=*/0, SmallOreoOptions(seed, threads));
       double batch_cost_total = 0.0;
       for (const QueryBatch& b : MakeBatches(stream, batch_size)) {
-        Oreo::BatchResult result = oreo.RunBatch(b);
+        BatchResult result = oreo.RunBatch(b);
         ASSERT_EQ(result.steps.size(), b.size());
         batch_cost_total += result.query_cost;
-        for (const Oreo::StepResult& step : result.steps) {
+        for (const StepResult& step : result.steps) {
           RecordStep(step, &batched);
         }
       }

@@ -176,9 +176,9 @@ RunFingerprint RunInterleaved(const Table& base, const Table& feed,
       fp.visible.push_back(r->visible_rows);
       fp.folded.push_back(r->folded);
     }
-    OreoEngine::BatchResult logical = engine->RunBatch(b);
+    BatchResult logical = engine->RunBatch(b);
     EXPECT_EQ(logical.steps.size(), b.size());
-    for (const OreoEngine::StepResult& step : logical.steps) {
+    for (const StepResult& step : logical.steps) {
       fp.states.push_back(step.state);
       fp.costs.push_back(step.query_cost);
       fp.reorganized.push_back(step.reorganized);
@@ -262,7 +262,7 @@ TEST(IngestEquivalenceTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
       EXPECT_GT(fp.num_switches, 0) << "fixture too tame: no switch happened";
       EXPECT_GE(fp.folds, 1u)
           << "the schedule must cross fold_threshold at least once";
-      // Versions are the facade-level commit sequence: strictly 1..N.
+      // Versions are the engine-level commit sequence: strictly 1..N.
       for (size_t v = 0; v < fp.versions.size(); ++v) {
         EXPECT_EQ(fp.versions[v], v + 1);
       }

@@ -322,7 +322,7 @@ TEST(OreoIngestTest, QueriesChargeTheLiveCostWhileMutationsPend) {
   // prunes it, so the live cost is the base fraction diluted by the larger
   // physical row count — strictly below the base cost.
   ASSERT_TRUE(engine->Ingest(IngestBatch{MakeChunk(200, 50000, 61), {}}).ok());
-  core::OreoEngine::StepResult pruned = engine->Step(q);
+  core::StepResult pruned = engine->Step(q);
   EXPECT_LT(pruned.query_cost, base_cost);
   EXPECT_NEAR(pruned.query_cost, base_cost * 1000.0 / 1200.0, 1e-12);
 
@@ -330,7 +330,7 @@ TEST(OreoIngestTest, QueriesChargeTheLiveCostWhileMutationsPend) {
   // the live cost gains d/(b + delta) relative to the diluted base term.
   ASSERT_TRUE(engine->Ingest(IngestBatch{MakeChunk(200, 0, 62), {}}).ok());
   q.id = 1;
-  core::OreoEngine::StepResult scanned = engine->Step(q);
+  core::StepResult scanned = engine->Step(q);
   EXPECT_NEAR(scanned.query_cost,
               (base_cost * 1000.0 + 200.0) / 1400.0, 1e-12);
 }

@@ -210,7 +210,7 @@ TEST(IntegrationTest, StreamingWithBackgroundPhysicalReorganization) {
 
   int64_t reorgs_submitted = 0;
   for (const Query& q : f.wl.queries) {
-    Oreo::StepResult step = oreo.Step(q);
+    StepResult step = oreo.Step(q);
     if (step.reorganized) {
       // One background rewrite at a time: drain the previous one first.
       bg.Wait(0);

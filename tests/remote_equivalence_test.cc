@@ -24,7 +24,6 @@
 
 #include "core/engine.h"
 #include "core/oreo.h"
-#include "core/sharded_oreo.h"
 #include "layout/qdtree_layout.h"
 #include "storage/remote_backend.h"
 #include "storage/shared_cache.h"

@@ -246,7 +246,7 @@ TEST_F(ServerDeadlineTest, DeadlinePassingDuringExecutionNeverCancels) {
                                  CheapOptions());
   QueryBatch batch;
   batch.queries = {RangeQuery(20, 0, 10)};
-  core::OreoEngine::BatchResult result = replay->RunBatch(batch);
+  core::BatchResult result = replay->RunBatch(batch);
   ASSERT_EQ(result.steps.size(), 1u);
   EXPECT_EQ(result.steps[0].state, reply->state);
   EXPECT_EQ(result.steps[0].query_cost, reply->query_cost);
@@ -315,9 +315,9 @@ TEST_F(ServerDeadlineTest, ExecutedStreamWithExpiriesReplaysBitIdentical) {
                                  SwitchyOptions());
   size_t pos = 0;
   for (const QueryBatch& b : MakeBatches(stream, 7)) {
-    core::OreoEngine::BatchResult result = replay->RunBatch(b);
+    core::BatchResult result = replay->RunBatch(b);
     ASSERT_EQ(result.steps.size(), b.size());
-    for (const core::OreoEngine::StepResult& step : result.steps) {
+    for (const core::StepResult& step : result.steps) {
       EXPECT_EQ(step.state, replies[pos].state) << "query #" << pos;
       EXPECT_EQ(step.reorganized, replies[pos].reorganized) << "#" << pos;
       EXPECT_EQ(step.query_cost, replies[pos].query_cost) << "#" << pos;

@@ -101,7 +101,7 @@ TEST(ServerEquivalenceTest, LoopbackWireStreamMatchesLibraryRunBatch) {
         cfg.time_column = 0;
         cfg.options = ServerEngineOptions(11 + t);
         // One sharded tenant in the multi-tenant configs: the wall must hold
-        // through ShardedOreo's RunBatchSharded fan-out too.
+        // through the engine's multi-shard RunBatch fan-out too.
         if (tenants == 4 && t == 3) cfg.options.num_shards = 2;
         cfg.batch.max_batch = 16;
         cfg.batch.max_delay_us = 100;
@@ -186,9 +186,9 @@ TEST(ServerEquivalenceTest, LoopbackWireStreamMatchesLibraryRunBatch) {
                                        /*time_column=*/0, replay_opts);
         size_t pos = 0;
         for (const QueryBatch& b : MakeBatches(executed_stream, 7)) {
-          core::OreoEngine::BatchResult result = replay->RunBatch(b);
+          core::BatchResult result = replay->RunBatch(b);
           ASSERT_EQ(result.steps.size(), b.size());
-          for (const core::OreoEngine::StepResult& step : result.steps) {
+          for (const core::StepResult& step : result.steps) {
             const ReplyRecord& wire = tenant_replies.at(order[pos]);
             EXPECT_EQ(step.state, wire.state) << "query #" << pos;
             EXPECT_EQ(step.reorganized, wire.reorganized) << "query #" << pos;

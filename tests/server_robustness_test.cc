@@ -869,7 +869,7 @@ TEST(BatchSubmitterTest, SerializesConcurrentProducers) {
         for (size_t i = 0; i < kBatchSize; ++i) {
           batch.queries.push_back(RangeQuery(p * 1000 + b * 10 + i, 0, 50));
         }
-        core::OreoEngine::BatchResult result = submitter.Run(batch);
+        core::BatchResult result = submitter.Run(batch);
         EXPECT_EQ(result.steps.size(), kBatchSize);
         steps_seen += result.steps.size();
       }

@@ -1,12 +1,14 @@
-// The sharded==unsharded equivalence wall for PR 4's ShardedOreo refactor.
+// The sharded==unsharded equivalence wall for the OreoEngine shard split.
 // Pinned contracts:
 //
-//   1. A 1-shard ShardedOreo is bit-identical to a bare logical Oreo:
-//      per-query serving states, costs, switch decisions, run traces, and
-//      the partition files a physical replay of its trace leaves behind
-//      (CRCs).
+//   1. A 1-shard engine is bit-identical to a bare logical Oreo: per-query
+//      serving states, costs, switch decisions, run traces, and the
+//      partition files a physical replay of its trace leaves behind (CRCs).
 //   2. N-shard runs are bit-identical across thread counts {1, 8} — logical
-//      fingerprints and per-shard replayed partition-file CRCs.
+//      fingerprints and per-shard replayed partition-file CRCs — and a
+//      multi-shard step merges its shards' bare-Oreo steps exactly: the
+//      single touched shard's state (-1 when several served) and the
+//      row-weighted sum of their costs.
 //   3. The router never drops a matching row: for random tables and random
 //      conjunctive queries of every operator shape, the matches found on
 //      the routed shards equal the matches on the whole table (property
@@ -22,12 +24,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
+#include "core/engine.h"
 #include "core/oreo.h"
-#include "core/sharded_oreo.h"
 #include "layout/qdtree_layout.h"
 #include "mts/offline.h"
 #include "storage/shard_router.h"
@@ -83,9 +86,21 @@ std::vector<Query> TwoPhaseStream(size_t rows, uint64_t seed) {
   return stream;
 }
 
+// The engine's routing function, rebuilt from the same options (every
+// fixture here routes on the time column, 0): tests read which shards a
+// query touched from it, and per-shard state from core(s).
+ShardRouter RouterFor(const Table& t, const OreoOptions& opts) {
+  ShardRouterOptions router_opts;
+  router_opts.num_shards = opts.num_shards;
+  router_opts.column = 0;
+  router_opts.routing = opts.shard_routing;
+  return ShardRouter::Build(t, router_opts);
+}
+
 struct ShardedFingerprint {
-  std::vector<int> states;        // serving state per (query, touched shard)
-  std::vector<uint32_t> shards;   // the touched shard of each entry
+  std::vector<int> states;        // merged per-query serving states
+  std::vector<uint32_t> shards;   // touched shards of each query, in order
+  std::vector<int> shard_states;  // every core's serving state per batch
   std::vector<double> costs;      // merged per-query costs
   std::vector<bool> reorganized;  // merged per-query switch flags
   double query_cost = 0.0;
@@ -93,7 +108,8 @@ struct ShardedFingerprint {
   int64_t num_switches = 0;
 
   bool operator==(const ShardedFingerprint& o) const {
-    return states == o.states && shards == o.shards && costs == o.costs &&
+    return states == o.states && shards == o.shards &&
+           shard_states == o.shard_states && costs == o.costs &&
            reorganized == o.reorganized && query_cost == o.query_cost &&
            reorg_cost == o.reorg_cost && num_switches == o.num_switches;
   }
@@ -103,23 +119,27 @@ ShardedFingerprint RunSharded(const Table& t, const LayoutGenerator& gen,
                               const OreoOptions& opts,
                               const std::vector<Query>& stream,
                               size_t batch_size) {
-  ShardedOreo sharded(&t, &gen, /*time_column=*/0, opts);
+  OreoEngine engine(&t, &gen, /*time_column=*/0, opts);
+  const ShardRouter router = RouterFor(t, opts);
   ShardedFingerprint fp;
   for (const QueryBatch& b : MakeBatches(stream, batch_size)) {
-    ShardedOreo::ShardedBatchResult result = sharded.RunBatchSharded(b);
+    BatchResult result = engine.RunBatch(b);
     EXPECT_EQ(result.steps.size(), b.size());
-    for (const ShardedOreo::ShardedStepResult& step : result.steps) {
-      for (const ShardedOreo::ShardStep& ss : step.shard_steps) {
-        fp.states.push_back(ss.step.state);
-        fp.shards.push_back(ss.shard);
+    for (size_t i = 0; i < b.size(); ++i) {
+      for (uint32_t s : router.ShardsForQuery(b.queries[i])) {
+        fp.shards.push_back(s);
       }
-      fp.costs.push_back(step.query_cost);
-      fp.reorganized.push_back(step.reorganized);
+      fp.states.push_back(result.steps[i].state);
+      fp.costs.push_back(result.steps[i].query_cost);
+      fp.reorganized.push_back(result.steps[i].reorganized);
+    }
+    for (size_t s = 0; s < engine.num_shards(); ++s) {
+      fp.shard_states.push_back(engine.core(s).physical_state());
     }
   }
-  fp.query_cost = sharded.total_query_cost();
-  fp.reorg_cost = sharded.total_reorg_cost();
-  fp.num_switches = sharded.num_switches();
+  fp.query_cost = engine.total_query_cost();
+  fp.reorg_cost = engine.total_reorg_cost();
+  fp.num_switches = engine.num_switches();
   return fp;
 }
 
@@ -141,7 +161,7 @@ TEST(ShardedEquivalenceTest, OneShardMatchesLegacyOreoStepByStep) {
     std::vector<bool> legacy_reorg;
     Oreo legacy(&t, &gen, /*time_column=*/0, opts);
     for (const Query& q : stream) {
-      Oreo::StepResult step = legacy.Step(q);
+      StepResult step = legacy.Step(q);
       legacy_states.push_back(step.state);
       legacy_costs.push_back(step.query_cost);
       legacy_reorg.push_back(step.reorganized);
@@ -150,7 +170,7 @@ TEST(ShardedEquivalenceTest, OneShardMatchesLegacyOreoStepByStep) {
 
     for (size_t batch_size : {size_t{1}, size_t{16}}) {
       ShardedFingerprint sharded = RunSharded(t, gen, opts, stream, batch_size);
-      ASSERT_EQ(sharded.states.size(), stream.size())
+      ASSERT_EQ(sharded.shards.size(), stream.size())
           << "a 1-shard router must route every query to shard 0";
       EXPECT_EQ(sharded.states, legacy_states)
           << "threads=" << threads << " batch_size=" << batch_size;
@@ -163,12 +183,12 @@ TEST(ShardedEquivalenceTest, OneShardMatchesLegacyOreoStepByStep) {
       EXPECT_EQ(sharded.num_switches, legacy.num_switches());
     }
 
-    // Run() traces must agree too (serving states, switch events, totals).
+    // Run traces must agree too (serving states, switch events, totals).
     Oreo legacy_runner(&t, &gen, 0, opts);
     SimResult legacy_sim = legacy_runner.Run(stream, /*record_trace=*/true);
-    ShardedOreo sharded_runner(&t, &gen, 0, opts);
-    ShardedSimResult sharded_sim =
-        sharded_runner.Run(stream, /*record_trace=*/true);
+    OreoEngine sharded_runner(&t, &gen, 0, opts);
+    EngineSimResult sharded_sim =
+        sharded_runner.RunTrace(stream, /*record_trace=*/true);
     ASSERT_EQ(sharded_sim.shards.size(), 1u);
     EXPECT_EQ(sharded_sim.shards[0].query_cost, legacy_sim.query_cost);
     EXPECT_EQ(sharded_sim.shards[0].reorg_cost, legacy_sim.reorg_cost);
@@ -203,8 +223,8 @@ TEST(ShardedEquivalenceTest, OneShardReplayLeavesIdenticalPartitionFiles) {
 
   OreoOptions sharded_opts = opts;
   sharded_opts.storage_backend = backend;
-  ShardedOreo sharded(&t, &gen, 0, sharded_opts);
-  ShardedSimResult sharded_sim = sharded.Run(stream, /*record_trace=*/true);
+  OreoEngine sharded(&t, &gen, 0, sharded_opts);
+  EngineSimResult sharded_sim = sharded.RunTrace(stream, /*record_trace=*/true);
   std::string sharded_dir = testutil::ScratchDir("sharded_eq_one");
   auto sharded_replay =
       sharded.ReplayTrace(sharded_sim, /*stride=*/3, sharded_dir,
@@ -245,7 +265,7 @@ TEST(ShardedEquivalenceTest, NShardRunsAreThreadCountInvariant) {
         if (routing == ShardRouting::kRange) {
           // Range routing must actually prune: fewer (query, shard) steps
           // than queries × shards.
-          EXPECT_LT(fp.states.size(), stream.size() * 4)
+          EXPECT_LT(fp.shards.size(), stream.size() * 4)
               << "range routing never pruned a shard";
         }
         continue;
@@ -263,8 +283,8 @@ TEST(ShardedEquivalenceTest, NShardRunsAreThreadCountInvariant) {
   for (size_t threads : kThreadCounts) {
     OreoOptions opts = ShardedOpts(seed, threads, /*num_shards=*/4);
     opts.storage_backend = backend;
-    ShardedOreo sharded(&t, &gen, 0, opts);
-    ShardedSimResult sim = sharded.Run(stream, /*record_trace=*/true);
+    OreoEngine sharded(&t, &gen, 0, opts);
+    EngineSimResult sim = sharded.RunTrace(stream, /*record_trace=*/true);
     std::string dir = testutil::ScratchDir("sharded_eq_threads_" +
                                            std::to_string(threads));
     auto replay = sharded.ReplayTrace(sim, /*stride=*/3, dir, threads,
@@ -282,6 +302,64 @@ TEST(ShardedEquivalenceTest, NShardRunsAreThreadCountInvariant) {
           << "partition files diverged at threads=" << threads;
     }
     fs::remove_all(dir);
+  }
+}
+
+// A multi-shard step merges its shards' steps by one rule, pinned against
+// bare per-shard Oreo references configured like the engine's cores: `state`
+// is the single touched shard's serving state (-1 when several shards
+// served the query), `reorganized` is set when any touched shard switched,
+// and `query_cost` is the row-weighted sum over the touched shards, bit for
+// bit, at every batch size.
+TEST(ShardedEquivalenceTest, MultiShardStepMergesTouchedShardsExactly) {
+  const uint64_t seed = 13;
+  const size_t kRows = 3000;
+  QdTreeGenerator gen;
+  Table t = testutil::MakeEventTable(kRows, seed);
+  std::vector<Query> stream = TwoPhaseStream(kRows, seed);
+  OreoOptions opts = ShardedOpts(seed, /*num_threads=*/2, /*num_shards=*/4);
+  const ShardRouter router = RouterFor(t, opts);
+  std::vector<Table> shard_tables = router.SplitTable(t);
+
+  for (size_t batch_size : {size_t{1}, size_t{32}}) {
+    OreoEngine engine(&t, &gen, /*time_column=*/0, opts);
+    std::vector<std::unique_ptr<Oreo>> refs;
+    std::vector<double> weights;
+    for (size_t s = 0; s < engine.num_shards(); ++s) {
+      refs.push_back(std::make_unique<Oreo>(&shard_tables[s], &gen, 0,
+                                            engine.core(s).options()));
+      weights.push_back(static_cast<double>(shard_tables[s].num_rows()) /
+                        static_cast<double>(t.num_rows()));
+    }
+    size_t single = 0;
+    size_t multi = 0;
+    size_t qi = 0;
+    for (const QueryBatch& b : MakeBatches(stream, batch_size)) {
+      BatchResult result = engine.RunBatch(b);
+      ASSERT_EQ(result.steps.size(), b.size());
+      for (size_t i = 0; i < b.size(); ++i, ++qi) {
+        const std::vector<uint32_t> touched =
+            router.ShardsForQuery(b.queries[i]);
+        StepResult expected{-1, false, 0.0};
+        for (uint32_t s : touched) {
+          StepResult ref = refs[s]->Step(b.queries[i]);
+          if (touched.size() == 1) expected.state = ref.state;
+          expected.reorganized = expected.reorganized || ref.reorganized;
+          expected.query_cost += weights[s] * ref.query_cost;
+        }
+        ++(touched.size() == 1 ? single : multi);
+        const StepResult& got = result.steps[i];
+        EXPECT_EQ(got.state, expected.state)
+            << "query " << qi << " batch_size=" << batch_size;
+        EXPECT_EQ(got.reorganized, expected.reorganized) << "query " << qi;
+        EXPECT_EQ(got.query_cost, expected.query_cost) << "query " << qi;
+      }
+    }
+    EXPECT_GT(single, 0u) << "no query was served by a single shard";
+    EXPECT_GT(multi, 0u) << "no query fanned out across shards";
+    for (size_t s = 0; s < engine.num_shards(); ++s) {
+      EXPECT_EQ(engine.core(s).num_switches(), refs[s]->num_switches());
+    }
   }
 }
 
@@ -387,8 +465,8 @@ TEST(ShardedEquivalenceTest, RouterNeverDropsMatchingRows) {
 // Degenerate predicates that provably match nothing (empty IN list on the
 // routing column) may prune every shard of an N-shard router — no rows can
 // match, so zero routed shards is consistent — but a 1-shard router must
-// still route to its only shard, or the 1-shard facade would diverge from
-// an unsharded engine (which admits every query to its window and cadence).
+// still route to its only shard, or a 1-shard engine would diverge from a
+// bare Oreo (which admits every query to its window and cadence).
 TEST(ShardedEquivalenceTest, EmptyInListKeepsSingleShardButMayPruneMany) {
   Table t = testutil::MakeEventTable(500, 19);
   Query empty_in;
@@ -535,7 +613,8 @@ TEST(ShardedEquivalenceTest, EveryShardStaysWithinPaperBoundOfItsOptimum) {
   OreoOptions opts = ShardedOpts(seed, /*num_threads=*/2, /*num_shards=*/2);
   opts.alpha = alpha;
   opts.max_states = 6;
-  ShardedOreo sharded(&t, &gen, /*time_column=*/0, opts);
+  OreoEngine sharded(&t, &gen, /*time_column=*/0, opts);
+  const ShardRouter router = RouterFor(t, opts);
 
   // Drive Step() to record each shard's per-query state availability (the
   // oblivious-adversary reconstruction of competitive_ratio_test, per
@@ -544,16 +623,15 @@ TEST(ShardedEquivalenceTest, EveryShardStaysWithinPaperBoundOfItsOptimum) {
   std::vector<std::vector<std::vector<int>>> live_at(n);
   std::vector<std::vector<Query>> shard_streams(n);
   for (const Query& q : stream) {
-    ShardedOreo::ShardedStepResult step = sharded.StepSharded(q);
-    for (const ShardedOreo::ShardStep& ss : step.shard_steps) {
-      live_at[ss.shard].push_back(
-          sharded.engine(ss.shard).oreo().registry().live());
-      shard_streams[ss.shard].push_back(q);
+    sharded.Step(q);
+    for (uint32_t s : router.ShardsForQuery(q)) {
+      live_at[s].push_back(sharded.core(s).registry().live());
+      shard_streams[s].push_back(q);
     }
   }
 
   for (size_t s = 0; s < n; ++s) {
-    const Oreo& engine = sharded.engine(s).oreo();
+    const Oreo& engine = sharded.core(s);
     ASSERT_FALSE(shard_streams[s].empty());
     const double alg_cost =
         engine.total_query_cost() + engine.total_reorg_cost();
@@ -584,7 +662,7 @@ TEST(ShardedEquivalenceTest, EveryShardStaysWithinPaperBoundOfItsOptimum) {
 
 // ----------------------------- physical streaming end-to-end -------------
 
-// Batches stream through the logical facade while per-shard background
+// Batches stream through the logical engine while per-shard background
 // rewrites overlap; every batch's physical matches must equal the
 // whole-table ground truth at all times (snapshot isolation per shard).
 TEST(ShardedEquivalenceTest, PhysicalStreamingStaysCorrectAcrossShardReorgs) {
@@ -596,7 +674,7 @@ TEST(ShardedEquivalenceTest, PhysicalStreamingStaysCorrectAcrossShardReorgs) {
 
   OreoOptions opts = ShardedOpts(seed, /*num_threads=*/4, /*num_shards=*/4);
   opts.storage_backend = testutil::TestBackend("inmem");
-  ShardedOreo sharded(&t, &gen, /*time_column=*/0, opts);
+  OreoEngine sharded(&t, &gen, /*time_column=*/0, opts);
   std::string dir = testutil::ScratchDir("sharded_eq_stream");
   ASSERT_TRUE(sharded.AttachPhysical(dir).ok());
 
@@ -618,11 +696,14 @@ TEST(ShardedEquivalenceTest, PhysicalStreamingStaysCorrectAcrossShardReorgs) {
   sharded.WaitForReorgs();
   EXPECT_GT(total_submitted, 0u) << "no background rewrite ever started";
 
-  // Quiescent: every shard's store serves the final layout correctly.
+  // Quiescent: no shard is behind its serving layout, and every shard's
+  // store holds exactly its core's physical layout.
+  EXPECT_EQ(sharded.SyncPhysical(), 0u);
   for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    EXPECT_FALSE(sharded.reorg_pool()->busy(static_cast<uint32_t>(s)));
-    EXPECT_EQ(sharded.engine(s).materialized_state(),
-              sharded.engine(s).oreo().physical_state());
+    const Oreo& core = sharded.core(s);
+    EXPECT_EQ(sharded.store(s)->current_instance(),
+              &core.registry().Get(core.physical_state()))
+        << "shard " << s;
   }
   auto final_exec = sharded.ExecuteBatchPhysical({stream[0], Query{}});
   ASSERT_TRUE(final_exec.ok());
