@@ -14,6 +14,10 @@
 //   codec_rle         RLE int64 decode (pointer-fill fast path)
 //   crc32c_4k/17k/1m  CRC-32C of 4 KiB, 17 KiB and 1 MiB buffers: the
 //                     table loop vs the dispatched (SSE4.2) path, in bytes
+//   qdtree_generate   QdTreeGenerator::Generate at the tpcds_decide shape
+//                     (20k-row table, 2000-row sample, one tree per W = 200
+//                     query window, 32 partitions), in trees; the scalar and
+//                     dispatched trees are checked equal node for node
 //
 // Flags: --rows=N (default 10M) --probes=N --reps=N --seed=N
 //        --out=path.json (default: BENCH_kernels.json in the working
@@ -32,8 +36,11 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
+#include "layout/qdtree_layout.h"
 #include "query/kernels.h"
 #include "storage/codec.h"
+#include "workloads/dataset.h"
+#include "workloads/workload_gen.h"
 
 namespace oreo {
 namespace bench {
@@ -73,6 +80,18 @@ void Measure(KernelResult* r, size_t reps, const Body& body) {
   OREO_CHECK_EQ(scalar_sum, vector_sum) << r->name
                                         << ": kernel modes disagree";
   r->checksum = scalar_sum;
+}
+
+// Every node of a Qd-tree (cut, children, partition id) as one string.
+std::string TreeFingerprint(const Layout& layout) {
+  const auto* tree = dynamic_cast<const QdTreeLayout*>(&layout);
+  OREO_CHECK(tree != nullptr);
+  std::ostringstream out;
+  for (const QdTreeNode& n : tree->nodes()) {
+    out << (n.is_leaf() ? std::string("leaf") : n.cut.ToString()) << ' '
+        << n.left << ' ' << n.right << ' ' << n.partition_id << '\n';
+  }
+  return out.str();
 }
 
 }  // namespace
@@ -237,6 +256,48 @@ int Main(int argc, char** argv) {
       });
       results.push_back(r);
     }
+  }
+
+  // ---- Qd-tree generation: the Layout Manager's per-window candidate -----
+  {
+    constexpr size_t kWindow = 200;
+    constexpr size_t kWindows = 10;
+    workloads::WorkloadDataset ds = workloads::MakeTpcdsLike(20000, seed);
+    Rng srng(seed + 3);
+    const Table sample = ds.table.SampleRows(2000, &srng);
+    workloads::WorkloadOptions wopts;
+    wopts.num_queries = kWindow * kWindows;
+    wopts.num_segments = kWindows;
+    wopts.seed = seed + 4;
+    const std::vector<Query> stream =
+        workloads::GenerateWorkload(ds.templates, wopts).queries;
+    std::vector<std::vector<Query>> windows(kWindows);
+    for (size_t i = 0; i < stream.size(); ++i) {
+      windows[i / kWindow].push_back(stream[i]);
+    }
+    const QdTreeGenerator gen;
+    auto trees = [&] {
+      std::string all;
+      for (const std::vector<Query>& window : windows) {
+        all += TreeFingerprint(*gen.Generate(sample, window, 32));
+      }
+      return all;
+    };
+    // The bit-identity contract on whole trees, not just a checksum.
+    simd::SetGlobalKernelMode(simd::KernelMode::kScalar);
+    const std::string scalar_trees = trees();
+    simd::SetGlobalKernelMode(simd::KernelMode::kVector);
+    const std::string vector_trees = trees();
+    simd::SetGlobalKernelMode(simd::KernelMode::kAuto);
+    OREO_CHECK(scalar_trees == vector_trees)
+        << "qdtree_generate: kernel modes grew different trees";
+    KernelResult r{"qdtree_generate", "trees", 0, 0,
+                   static_cast<double>(kWindows), 0};
+    Measure(&r, reps, [&] {
+      const std::string all = trees();
+      return static_cast<uint64_t>(Crc32c(all.data(), all.size()));
+    });
+    results.push_back(r);
   }
 
   for (const KernelResult& r : results) {

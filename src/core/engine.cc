@@ -213,6 +213,9 @@ Result<IngestResult> OreoEngine::Ingest(IngestBatch batch) {
       ingest::SplitIngest(router_, batch.rows, batch.deletes);
   IngestResult out;
   out.version = ++ingest_version_;
+  // A failed fold rewrite does not stop the batch: the remaining shards
+  // still apply their slices, so the batch commits on every logical core.
+  Status physical_status;
   // Serial application in ascending shard order: each shard's mutation
   // sequence is a deterministic function of the batch stream alone.
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -230,10 +233,11 @@ Result<IngestResult> OreoEngine::Ingest(IngestBatch batch) {
       out.folded = true;
       // The shard's Oreo has no store of its own; compact its files here.
       if (shard.store != nullptr) {
-        OREO_RETURN_NOT_OK(RematerializeShard(shard));
+        Status st = RematerializeShard(shard);
+        if (physical_status.ok()) physical_status = std::move(st);
       }
     }
-    if (shard.store != nullptr) {
+    if (shard.store != nullptr && shard.rematerialize_status.ok()) {
       shard.oreo->RebuildLiveView(shard.snapshot.instance);
     }
   }
@@ -253,6 +257,7 @@ Result<IngestResult> OreoEngine::Ingest(IngestBatch batch) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     weights_[s] = total_rows > 0 ? scan_rows[s] / total_rows : 0.0;
   }
+  OREO_RETURN_NOT_OK(physical_status);
   return out;
 }
 
@@ -264,7 +269,13 @@ Status OreoEngine::RematerializeShard(Shard& shard) {
   const int current = core.physical_state();
   Result<PhysicalStore::Timing> timing = shard.store->MaterializeLayout(
       core.base_table(), core.registry().Get(current));
-  if (!timing.ok()) return timing.status();
+  if (!timing.ok()) {
+    // MaterializeLayout removed the old files first: the snapshot names
+    // files that are gone, so the shard must not serve until a retry.
+    shard.rematerialize_status = timing.status();
+    return timing.status();
+  }
+  shard.rematerialize_status = Status::OK();
   shard.materialized_state = current;
   shard.pending_target.reset();
   shard.failed_target.reset();
@@ -334,6 +345,10 @@ Result<PhysicalStore::BatchExec> OreoEngine::ExecuteBatchPhysical(
   pool_->ParallelFor(n, [&](size_t s) {
     if (sub[s].empty()) return;
     Shard& shard = shards_[s];
+    if (!shard.rematerialize_status.ok()) {
+      statuses[s] = shard.rematerialize_status;
+      return;
+    }
     Result<PhysicalStore::BatchExec> exec =
         shard.store->ExecuteQueryBatchOnSnapshot(
             shard.snapshot, sub[s], shard.oreo->live_scan_view());
@@ -367,6 +382,11 @@ size_t OreoEngine::SyncPhysical() {
   size_t submitted = 0;
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
+    // A shard whose fold rewrite failed has no files: rewrite them first.
+    if (!shard.rematerialize_status.ok()) {
+      if (!RematerializeShard(shard).ok()) continue;
+      shard.oreo->RebuildLiveView(shard.snapshot.instance);
+    }
     // A still-running rewrite keeps serving from the pinned snapshot.
     if (reorg_pool_->busy(s)) continue;
     if (shard.pending_target.has_value()) {

@@ -142,6 +142,11 @@ class OreoEngine {
   /// shards are re-materialized from their folded base, and every mutated
   /// shard's scan overlay is rebuilt against its pinned snapshot.
   ///
+  /// A failed fold rematerialization is the one error returned after the
+  /// batch is applied: the batch stays committed on every shard's logical
+  /// core, the failed shard serves no batch until a later SyncPhysical
+  /// rewrites its files, and the first such error is returned.
+  ///
   /// The returned version is an engine-level batch counter; per-shard
   /// versions advance only on shards the batch touched (idle shards see no
   /// batch boundary).
@@ -193,7 +198,11 @@ class OreoEngine {
   /// (refresh snapshot, vacuum superseded files, update the materialized
   /// state) and submits a rewrite for every shard whose logical serving
   /// layout moved ahead of its materialized one. At most one rewrite is in
-  /// flight per shard. Returns the number of rewrites submitted.
+  /// flight per shard. A shard whose fold rematerialization failed (see
+  /// Ingest) is first rematerialized again; while that keeps failing, the
+  /// shard submits nothing and ExecuteBatchPhysical keeps returning the
+  /// error for batches that touch it. Returns the number of rewrites
+  /// submitted.
   size_t SyncPhysical();
 
   /// Blocks until no shard has a rewrite queued or running, then reconciles.
@@ -228,10 +237,16 @@ class OreoEngine {
     /// cannot trap reconciliation in a retry loop (the error stays visible
     /// via ReorgPool::last_status).
     std::optional<int> failed_target;
+    /// Not OK while the shard's files are gone: a fold's rematerialization
+    /// failed after MaterializeLayout had removed the old layout's files.
+    /// SyncPhysical retries the rematerialization before anything else, and
+    /// batches touching the shard fail with this status until it succeeds.
+    Status rematerialize_status;
   };
 
   /// Re-materializes a folded shard's store from its folded base and adopts
-  /// the fresh snapshot (fold = compaction: same layout, fewer rows).
+  /// the fresh snapshot (fold = compaction: same layout, fewer rows). On
+  /// failure the shard is marked via `rematerialize_status`.
   Status RematerializeShard(Shard& shard);
 
   ShardRouter router_;

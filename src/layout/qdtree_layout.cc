@@ -5,6 +5,7 @@
 
 #include "common/bitvector.h"
 #include "common/logging.h"
+#include "query/kernels.h"
 
 namespace oreo {
 
@@ -128,31 +129,24 @@ std::unique_ptr<Layout> QdTreeGenerator::Generate(
 
   std::vector<Predicate> cuts = HarvestCuts(workload, options_.max_cuts);
 
-  // Precompute per-cut and per-query row-match bitmaps over the sample.
+  // Per-cut and per-query row-match bitmaps over the sample, from the scan
+  // kernels (bit-identical to a row-at-a-time Matches loop in every mode).
   std::vector<BitVector> cut_match;
   cut_match.reserve(cuts.size());
   for (const Predicate& c : cuts) {
-    BitVector bv(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      if (c.Matches(sample, r)) bv.Set(r);
-    }
-    cut_match.push_back(std::move(bv));
+    cut_match.push_back(EvalPredicateBitmap(sample, c));
   }
   std::vector<BitVector> query_match;
   query_match.reserve(workload.size());
   for (const Query& q : workload) {
-    BitVector bv(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      if (q.Matches(sample, r)) bv.Set(r);
-    }
-    query_match.push_back(std::move(bv));
+    query_match.push_back(EvalQueryBitmap(sample, q));
   }
 
   std::vector<QdTreeNode> nodes(1);  // root placeholder
   std::vector<BuildLeaf> leaves;
   {
     BitVector all(n);
-    for (uint32_t r = 0; r < n; ++r) all.Set(r);
+    all.SetAll();
     leaves.push_back(BuildLeaf{std::move(all), n, 0});
   }
 

@@ -3,9 +3,10 @@
 // and branchless row-id compaction.
 //
 // These are THE predicate-evaluation entry points — query::CountMatches, the
-// PhysicalStore batch scan and the live-ingest delete path all funnel through
-// here, so there is exactly one scalar reference loop and one vectorized
-// implementation in the system. Dispatch (common/simd.h) picks between them
+// PhysicalStore batch scan, the live-ingest delete path and the Qd-tree
+// generator's sample bitmaps all funnel through here, so there is exactly
+// one scalar reference loop and one vectorized implementation in the
+// system. Dispatch (common/simd.h) picks between them
 // at runtime; both sides are bit-identical for every input (match counts,
 // bitmap words, row-id lists), pinned by tests/kernels_test.cc.
 //

@@ -35,10 +35,6 @@ struct ColumnZone {
   bool distinct_overflow = false;
 
   static constexpr size_t kMaxDistinct = 64;
-
-  void UpdateInt64(int64_t v);
-  void UpdateDouble(double v);
-  void UpdateString(const std::string& v);
 };
 
 /// Zone metadata for one partition: one ColumnZone per schema field plus the
@@ -49,12 +45,19 @@ struct ZoneMap {
 
   /// Initializes empty zones for every field in `schema`.
   static ZoneMap ForSchema(const Schema& schema);
-
-  /// Folds row `row` of `table` into this zone map.
-  void UpdateRow(const Table& table, uint32_t row);
 };
 
-/// Builds a zone map covering the given rows of `table`.
+/// Builds a zone map covering the given rows of `table`, one column at a
+/// time. Every partitioning, live-ingest delta chunk and fold gets its zones
+/// here.
+///   - int64: one min/max pass over the column's flat array.
+///   - double: one pass in `row_ids` order. std::min/std::max keep their
+///     first argument for NaN and for -0.0 vs +0.0, so the order is part of
+///     the result.
+///   - string: marks the dictionary codes the rows use, then folds each used
+///     entry once. A partition shares its table's whole dictionary, so the
+///     cost is O(rows + used codes), with per-thread marks reused across
+///     calls rather than sized per call.
 ZoneMap BuildZoneMap(const Table& table, const std::vector<uint32_t>& row_ids);
 
 /// Builds a zone map covering the entire table.

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/engine.h"
 #include "core/physical.h"
 #include "layout/sorted_layout.h"
@@ -96,7 +97,8 @@ TEST(StorageBackendTest, BlockAndMetadataBytesAreBackendInvariant) {
 // ----------------------------------------------- failure propagation -----
 
 // Test double: forwards to a wrapped backend but fails every write whose
-// path contains `fail_substring`, from the Nth on, until Heal().
+// path contains `fail_substring`, from the Nth on (or from Arm()), until
+// Heal().
 class FaultInjectionBackend : public StorageBackend {
  public:
   FaultInjectionBackend(std::shared_ptr<StorageBackend> base,
@@ -130,6 +132,8 @@ class FaultInjectionBackend : public StorageBackend {
   BackendStats stats() const override { return base_->stats(); }
 
   void Heal() { remaining_ = INT64_MAX; }
+  /// Fails every matching write from now on.
+  void Arm() { remaining_ = 0; }
 
  private:
   std::shared_ptr<StorageBackend> base_;
@@ -192,6 +196,65 @@ TEST(PhysicalStoreFaultTest, FailedAttachDetachesEveryShardAndRetries) {
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(exec->per_query[i].matches, CountMatches(t, queries[i]))
+        << "query " << i;
+  }
+}
+
+// A fold rewrites a shard's files in place, and MaterializeLayout removes
+// the old files before it writes. When that write fails, Ingest reports the
+// error with the batch already committed logically; the shard serves
+// nothing until SyncPhysical has rewritten its files, and then serves the
+// folded table correctly.
+TEST(PhysicalStoreFaultTest, FailedFoldRewriteRecoversOnSync) {
+  Table t = testutil::MakeEventTable(2000, 53);
+  SortLayoutGenerator gen(0);
+  auto faulty = std::make_shared<FaultInjectionBackend>(
+      MakeInMemoryBackend(), "shard_001/", INT64_MAX);
+  core::OreoOptions opts;
+  opts.num_shards = 2;
+  opts.shard_routing = ShardRouting::kHash;
+  opts.num_threads = 1;
+  opts.target_partitions = 8;
+  opts.fold_threshold = 0.0;  // every mutating batch folds
+  opts.storage_backend = faulty;
+  std::unique_ptr<core::OreoEngine> engine =
+      core::MakeEngine(&t, &gen, /*time_column=*/0, opts);
+  ASSERT_TRUE(engine->AttachPhysical(testutil::ScratchDir("fault_fold")).ok());
+
+  Table appended(testutil::EventSchema());
+  Rng rng(54);
+  for (int64_t i = 0; i < 300; ++i) {
+    appended.AppendRow({Value(2000 + i), Value(rng.UniformInt(0, 1000)),
+                        Value(i % 2 == 0 ? "a" : "e")});
+  }
+  Table mirror = t;
+  mirror.Append(appended);
+
+  faulty->Arm();
+  Result<core::IngestResult> ingested =
+      engine->Ingest(core::IngestBatch{std::move(appended), {}});
+  ASSERT_FALSE(ingested.ok());
+  EXPECT_EQ(ingested.status().code(), StatusCode::kIoError);
+  // The batch stays committed on both logical cores.
+  EXPECT_EQ(engine->core(0).visible_rows() + engine->core(1).visible_rows(),
+            mirror.num_rows());
+
+  std::vector<Query> queries =
+      testutil::MakeRangeWorkload(0, 2300, 200, 19, 55);
+  queries.push_back(Query{});
+  // Still failing: the retry fails too, and batches keep reporting it.
+  EXPECT_EQ(engine->SyncPhysical(), 0u);
+  auto stuck = engine->ExecuteBatchPhysical(queries);
+  ASSERT_FALSE(stuck.ok());
+  EXPECT_EQ(stuck.status().code(), StatusCode::kIoError);
+
+  faulty->Heal();
+  engine->SyncPhysical();
+  auto exec = engine->ExecuteBatchPhysical(queries);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_EQ(exec->per_query.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(exec->per_query[i].matches, CountMatches(mirror, queries[i]))
         << "query " << i;
   }
 }

@@ -4,14 +4,19 @@
 // layouts actually skip data for their target workloads.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <ostream>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "layout/qdtree_layout.h"
 #include "layout/sorted_layout.h"
 #include "layout/zorder_layout.h"
 #include "test_util.h"
+#include "workloads/dataset.h"
+#include "workloads/workload_gen.h"
 
 namespace oreo {
 namespace {
@@ -352,6 +357,55 @@ TEST(QdTreeTest, DepthIsReported) {
   if (qd->num_leaves() > 1) {
     EXPECT_GE(qd->Depth(), 1);
     EXPECT_LT(qd->Depth(), 20);
+  }
+}
+
+// Generate takes its sample bitmaps from the scan kernels, so the scalar
+// reference and the vectorized kernels must grow the same tree on every
+// paper workload, and the tree must partition the full table the same way.
+TEST(QdTreeTest, KernelModesGrowIdenticalTrees) {
+  for (const char* name : {"tpch", "tpcds", "telemetry"}) {
+    SCOPED_TRACE(name);
+    workloads::WorkloadDataset ds = workloads::MakeDataset(name, 6000, 61);
+    Rng rng(62);
+    Table sample = ds.table.SampleRows(1000, &rng);
+    workloads::WorkloadOptions wopts;
+    wopts.num_queries = 200;
+    wopts.num_segments = 4;
+    wopts.min_segment_length = 20;
+    wopts.seed = 63;
+    std::vector<Query> wl =
+        workloads::GenerateWorkload(ds.templates, wopts).queries;
+    QdTreeGenerator gen;
+
+    auto grow = [&](simd::KernelMode mode) {
+      testutil::ScopedKernelMode scoped(mode);
+      std::shared_ptr<const Layout> layout = gen.Generate(sample, wl, 32);
+      return std::make_pair(layout, Materialize("qdtree", layout, ds.table));
+    };
+    auto [scalar_layout, scalar_inst] = grow(simd::KernelMode::kScalar);
+    auto [vector_layout, vector_inst] = grow(simd::KernelMode::kVector);
+
+    const auto* scalar_tree =
+        dynamic_cast<const QdTreeLayout*>(scalar_layout.get());
+    const auto* vector_tree =
+        dynamic_cast<const QdTreeLayout*>(vector_layout.get());
+    ASSERT_NE(scalar_tree, nullptr);
+    ASSERT_NE(vector_tree, nullptr);
+    EXPECT_GT(scalar_tree->num_leaves(), 8u) << "the workload split nothing";
+    ASSERT_EQ(scalar_tree->nodes().size(), vector_tree->nodes().size());
+    for (size_t i = 0; i < scalar_tree->nodes().size(); ++i) {
+      const QdTreeNode& a = scalar_tree->nodes()[i];
+      const QdTreeNode& b = vector_tree->nodes()[i];
+      EXPECT_EQ(a.left, b.left) << "node " << i;
+      EXPECT_EQ(a.right, b.right) << "node " << i;
+      EXPECT_EQ(a.partition_id, b.partition_id) << "node " << i;
+      if (!a.is_leaf()) {
+        EXPECT_EQ(a.cut.ToString(), b.cut.ToString()) << "node " << i;
+      }
+    }
+    EXPECT_EQ(scalar_inst.partitioning().partitions,
+              vector_inst.partitioning().partitions);
   }
 }
 

@@ -1,7 +1,12 @@
 // Tests for src/storage: Column, Table, ZoneMap, Partitioning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "query/query.h"
@@ -201,6 +206,208 @@ TEST(ZoneMapTest, EmptyZone) {
   ZoneMap zm = BuildZoneMap(t, {});
   EXPECT_EQ(zm.num_rows, 0u);
   EXPECT_TRUE(zm.columns[0].empty);
+}
+
+// Parity wall for the column-at-a-time builder: a row-at-a-time reference
+// that folds one value at a time, in row-id order, exactly as zone maps were
+// first defined.
+ZoneMap ReferenceZoneMap(const Table& t, const std::vector<uint32_t>& rows) {
+  ZoneMap zm = ZoneMap::ForSchema(t.schema());
+  for (uint32_t r : rows) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const Column& col = t.column(c);
+      ColumnZone& z = zm.columns[c];
+      const bool first = z.empty;
+      z.empty = false;
+      switch (col.type()) {
+        case DataType::kInt64: {
+          const int64_t v = col.GetInt64(r);
+          z.int_min = first ? v : std::min(z.int_min, v);
+          z.int_max = first ? v : std::max(z.int_max, v);
+          break;
+        }
+        case DataType::kDouble: {
+          const double v = col.GetDouble(r);
+          z.dbl_min = first ? v : std::min(z.dbl_min, v);
+          z.dbl_max = first ? v : std::max(z.dbl_max, v);
+          break;
+        }
+        case DataType::kString: {
+          const std::string& v = col.GetString(r);
+          if (first || v < z.str_min) z.str_min = v;
+          if (first || v > z.str_max) z.str_max = v;
+          if (!z.distinct_overflow) {
+            z.distinct.insert(v);
+            if (z.distinct.size() > ColumnZone::kMaxDistinct) {
+              z.distinct.clear();
+              z.distinct_overflow = true;
+            }
+          }
+          break;
+        }
+      }
+    }
+    ++zm.num_rows;
+  }
+  return zm;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// Field by field; doubles by bit pattern, so -0.0 != +0.0 and NaN == NaN.
+void ExpectZoneMapsIdentical(const ZoneMap& want, const ZoneMap& got,
+                             const std::string& where) {
+  ASSERT_EQ(want.columns.size(), got.columns.size()) << where;
+  EXPECT_EQ(want.num_rows, got.num_rows) << where;
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    const ColumnZone& w = want.columns[c];
+    const ColumnZone& g = got.columns[c];
+    const std::string at = where + ", column " + std::to_string(c);
+    EXPECT_EQ(w.type, g.type) << at;
+    EXPECT_EQ(w.empty, g.empty) << at;
+    EXPECT_EQ(w.int_min, g.int_min) << at;
+    EXPECT_EQ(w.int_max, g.int_max) << at;
+    EXPECT_EQ(DoubleBits(w.dbl_min), DoubleBits(g.dbl_min)) << at;
+    EXPECT_EQ(DoubleBits(w.dbl_max), DoubleBits(g.dbl_max)) << at;
+    EXPECT_EQ(w.str_min, g.str_min) << at;
+    EXPECT_EQ(w.str_max, g.str_max) << at;
+    EXPECT_EQ(w.distinct, g.distinct) << at;
+    EXPECT_EQ(w.distinct_overflow, g.distinct_overflow) << at;
+  }
+}
+
+void ExpectBuilderMatchesReference(const Table& t,
+                                   const std::vector<uint32_t>& rows,
+                                   const std::string& where) {
+  ExpectZoneMapsIdentical(ReferenceZoneMap(t, rows), BuildZoneMap(t, rows),
+                          where);
+}
+
+std::vector<uint32_t> AllRows(const Table& t) {
+  std::vector<uint32_t> rows(t.num_rows());
+  for (uint32_t r = 0; r < rows.size(); ++r) rows[r] = r;
+  return rows;
+}
+
+TEST(ZoneMapParityTest, DistinctSetAtTheOverflowEdge) {
+  for (int distinct : {1, 63, 64, 65, 66, 200}) {
+    Table t(Schema({{"s", DataType::kString}}));
+    // Each value three times, interleaved, so repeats reach the set after
+    // it is full.
+    for (int rep = 0; rep < 3; ++rep) {
+      for (int i = 0; i < distinct; ++i) {
+        t.AppendRow({Value("v" + std::to_string((i * 37 + rep) % distinct))});
+      }
+    }
+    const std::string tag = std::to_string(distinct) + " distinct";
+    ExpectBuilderMatchesReference(t, AllRows(t), tag);
+    ZoneMap whole = BuildZoneMap(t);
+    ExpectZoneMapsIdentical(ReferenceZoneMap(t, AllRows(t)), whole,
+                            tag + ", whole table");
+    EXPECT_EQ(whole.columns[0].distinct_overflow,
+              distinct > static_cast<int>(ColumnZone::kMaxDistinct))
+        << tag;
+    std::vector<uint32_t> reversed = AllRows(t);
+    std::reverse(reversed.begin(), reversed.end());
+    ExpectBuilderMatchesReference(t, reversed, tag + ", reversed");
+  }
+}
+
+TEST(ZoneMapParityTest, TakeSharesADictionaryWithUnusedEntries) {
+  Table base(Schema({{"k", DataType::kInt64}, {"s", DataType::kString}}));
+  for (int i = 0; i < 300; ++i) {
+    base.AppendRow({Value(int64_t{i}), Value("cat" + std::to_string(i % 150))});
+  }
+  // Rows whose strings use 10 of the 150 shared dictionary entries.
+  std::vector<uint32_t> picked;
+  for (uint32_t r = 0; r < base.num_rows(); r += 15) picked.push_back(r);
+  Table taken = base.Take(picked);
+  ASSERT_EQ(taken.column(1).dictionary().size(), 150u);
+  ExpectBuilderMatchesReference(taken, AllRows(taken), "taken");
+  ExpectZoneMapsIdentical(ReferenceZoneMap(taken, AllRows(taken)),
+                          BuildZoneMap(taken), "taken, whole table");
+  ExpectBuilderMatchesReference(taken, {3, 1}, "taken, two rows");
+  // Interleave tables with larger and smaller dictionaries, so the
+  // builder's code marks are reused across calls of different sizes.
+  ExpectBuilderMatchesReference(base, AllRows(base), "base");
+  ExpectBuilderMatchesReference(taken, {0, 5, 9}, "taken after base");
+  ExpectBuilderMatchesReference(SmallTable(), {2, 0}, "small after base");
+}
+
+TEST(ZoneMapParityTest, EmptyRowList) {
+  Table t = SmallTable();
+  ExpectBuilderMatchesReference(t, {}, "empty");
+  ZoneMap zm = BuildZoneMap(t, {});
+  for (const ColumnZone& z : zm.columns) EXPECT_TRUE(z.empty);
+  Table empty(TestSchema());
+  ExpectZoneMapsIdentical(ReferenceZoneMap(empty, {}), BuildZoneMap(empty),
+                          "empty table");
+}
+
+TEST(ZoneMapParityTest, NanAndSignedZerosInEveryRowOrder) {
+  Table t(Schema({{"d", DataType::kDouble}}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double v : {nan, -0.0, 0.0, 1.5, -1.5}) t.AppendRow({Value(v)});
+  std::vector<uint32_t> rows = AllRows(t);
+  size_t orders = 0;
+  do {
+    std::string tag = "order";
+    for (uint32_t r : rows) tag += " " + std::to_string(r);
+    ExpectBuilderMatchesReference(t, rows, tag);
+    // Every prefix too: a NaN or a zero of either sign first or alone.
+    for (size_t len = 1; len < rows.size(); ++len) {
+      ExpectBuilderMatchesReference(
+          t, std::vector<uint32_t>(rows.begin(), rows.begin() + len),
+          tag + ", prefix " + std::to_string(len));
+    }
+    ++orders;
+  } while (std::next_permutation(rows.begin(), rows.end()));
+  EXPECT_EQ(orders, 120u);
+}
+
+TEST(ZoneMapParityTest, Int64Extremes) {
+  Table t(Schema({{"i", DataType::kInt64}}));
+  for (int64_t v : {int64_t{0}, std::numeric_limits<int64_t>::max(),
+                    std::numeric_limits<int64_t>::min(), int64_t{-1},
+                    std::numeric_limits<int64_t>::max()}) {
+    t.AppendRow({Value(v)});
+  }
+  ExpectBuilderMatchesReference(t, AllRows(t), "all");
+  ExpectBuilderMatchesReference(t, {1}, "max alone");
+  ExpectBuilderMatchesReference(t, {2}, "min alone");
+  ExpectBuilderMatchesReference(t, {4, 2, 0}, "max, min, zero");
+  ZoneMap zm = BuildZoneMap(t);
+  EXPECT_EQ(zm.columns[0].int_min, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(zm.columns[0].int_max, std::numeric_limits<int64_t>::max());
+}
+
+TEST(ZoneMapParityTest, RandomPartitionsOfAMixedTable) {
+  Rng rng(5150);
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"s", DataType::kString}}));
+  for (int r = 0; r < 2000; ++r) {
+    t.AppendRow({Value(rng.UniformInt(-1000, 1000)),
+                 Value(rng.UniformDouble(-1.0, 1.0)),
+                 Value("s" + std::to_string(rng.Uniform(100)))});
+  }
+  // Random assignment into 16 partitions, each listed in row-id order like
+  // BuildPartitioning lists them, plus a shuffled copy of each.
+  std::vector<std::vector<uint32_t>> parts(16);
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    parts[rng.Uniform(parts.size())].push_back(r);
+  }
+  for (size_t p = 0; p < parts.size(); ++p) {
+    ExpectBuilderMatchesReference(t, parts[p], "part " + std::to_string(p));
+    std::vector<uint32_t> shuffled = parts[p];
+    rng.Shuffle(&shuffled);
+    ExpectBuilderMatchesReference(t, shuffled,
+                                  "shuffled part " + std::to_string(p));
+  }
 }
 
 // -------------------------------------------------------- Partitioning ----
