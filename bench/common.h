@@ -106,8 +106,7 @@ std::string DefaultScratchDir(const std::string& name);
 /// Prints `json` to stdout and writes it to `--out` (default
 /// `BENCH_<name>.json` in the working directory — run from the repo root to
 /// collect the perf-trajectory files together; `--out=` empty suppresses
-/// the file). Shared by the micro-benchmarks so the CI artifact contract
-/// lives in one place.
+/// the file).
 void EmitBenchJson(const Flags& flags, const std::string& name,
                    const std::string& json);
 

@@ -1,19 +1,11 @@
 #include "core/background.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace oreo {
 namespace core {
 
-ReorgPool::ReorgPool(size_t num_workers) {
-  size_t n = ThreadPool::ResolveThreads(num_workers);
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+ReorgPool::ReorgPool() : worker_([this] { WorkerLoop(); }) {}
 
 ReorgPool::~ReorgPool() {
   std::deque<Job> discarded;
@@ -35,7 +27,7 @@ ReorgPool::~ReorgPool() {
   // callback capture's destructor may call back into the pool (stats(),
   // Submit() — which now bounces), which would self-deadlock under mu_.
   discarded.clear();
-  for (std::thread& worker : workers_) worker.join();
+  worker_.join();
 }
 
 bool ReorgPool::Submit(Job job) {
@@ -94,11 +86,6 @@ ReorgPool::Stats ReorgPool::stats() const {
   return stats_;
 }
 
-size_t ReorgPool::max_concurrent_observed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_concurrent_;
-}
-
 void ReorgPool::WorkerLoop() {
   for (;;) {
     Job job;
@@ -106,15 +93,13 @@ void ReorgPool::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       // On shutdown the queue has already been discarded by the destructor;
-      // anything running simply finishes below on its own worker.
+      // a job already running finishes below before the worker exits.
       if (shutdown_) return;
       job = std::move(queue_.front());
       queue_.pop_front();
       ShardState& state = shards_[job.shard];
       state.queued = false;
       state.running = true;
-      ++running_now_;
-      max_concurrent_ = std::max(max_concurrent_, running_now_);
     }
     if (job.on_start) job.on_start();
     Result<PhysicalStore::Timing> timing =
@@ -129,7 +114,6 @@ void ReorgPool::WorkerLoop() {
       state.running = false;
       ++state.generation;
       state.last_status = status;
-      --running_now_;
       if (timing.ok()) {
         ++stats_.completed;
         stats_.total_seconds += timing->seconds;

@@ -4,19 +4,17 @@
 // reorganization is in progress. After reorganization is completed, the new
 // layout is swapped with the existing layout."
 //
-// ReorgPool generalizes that single background process to a sharded store:
-// a fixed set of worker threads executes PhysicalStore reorganizations with
-// at most one in flight *per shard* — concurrent across shards, still
-// strictly serialized within a shard (each shard keeps the paper's
-// one-background-process contract for its own data; a 1-shard engine gets a
-// one-worker pool, exactly the paper's setup). The foreground keeps
-// executing queries against per-shard snapshots (PhysicalStore::GetSnapshot
-// / ExecuteQueryBatchOnSnapshot) and refreshes them at batch boundaries when
-// a shard's generation() advances.
+// ReorgPool is that background process: one worker thread executes
+// PhysicalStore reorganizations in submission order, with at most one
+// queued or running per shard (a second Submit for a busy shard bounces).
+// A sharded engine's shards share the one worker, so their rewrites run one
+// after another. The foreground keeps executing queries against per-shard
+// snapshots (PhysicalStore::GetSnapshot / ExecuteQueryBatchOnSnapshot) and
+// refreshes them at batch boundaries when a shard's generation() advances.
 //
 // Shutdown ordering: destroying the pool *discards* jobs that are queued but
 // not yet started — their completion callbacks are destroyed unfired — and
-// joins the workers, so a running job's callback always fires before the
+// joins the worker, so a running job's callback always fires before the
 // destructor returns and no callback can ever run after the pool is gone.
 // Owners must therefore destroy the pool before anything a callback touches
 // (declare it after the engines/stores it serves). Submit during or after
@@ -32,21 +30,18 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "core/physical.h"
 
 namespace oreo {
 namespace core {
 
-/// Shared asynchronous executor for per-shard layout rewrites.
+/// Asynchronous single-worker executor for per-shard layout rewrites.
 class ReorgPool {
  public:
-  /// Spawns `num_workers` worker threads (0 = one per hardware core).
-  /// Concurrent reorganizations are bounded by min(workers, shards with
-  /// submitted work).
-  explicit ReorgPool(size_t num_workers);
-  /// Discards queued-but-unstarted jobs, waits for running ones, joins.
+  /// Spawns the worker thread.
+  ReorgPool();
+  /// Discards queued-but-unstarted jobs, waits for the running one, joins.
   ~ReorgPool();
 
   ReorgPool(const ReorgPool&) = delete;
@@ -98,12 +93,6 @@ class ReorgPool {
   };
   Stats stats() const;
 
-  /// High-water mark of simultaneously running reorganizations — the
-  /// stress/bench evidence that per-shard rewrites really overlap.
-  size_t max_concurrent_observed() const;
-
-  size_t num_workers() const { return workers_.size(); }
-
  private:
   struct ShardState {
     bool queued = false;
@@ -115,15 +104,13 @@ class ReorgPool {
   void WorkerLoop();
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;       // wakes workers on submit/shutdown
+  std::condition_variable cv_;       // wakes the worker on submit/shutdown
   std::condition_variable idle_cv_;  // wakes Wait/WaitAll on completion
   std::deque<Job> queue_;
   std::unordered_map<uint32_t, ShardState> shards_;
   bool shutdown_ = false;
-  size_t running_now_ = 0;
-  size_t max_concurrent_ = 0;
   Stats stats_;
-  std::vector<std::thread> workers_;
+  std::thread worker_;  // last: starts after every member it reads exists
 };
 
 }  // namespace core

@@ -319,7 +319,7 @@ Status OreoEngine::AttachPhysical(const std::string& base_dir,
   }
   // One background rewriter per table, as in the paper (§III-B): shards
   // queue behind it.
-  reorg_pool_ = std::make_unique<ReorgPool>(1);
+  reorg_pool_ = std::make_unique<ReorgPool>();
   return Status::OK();
 }
 

@@ -131,15 +131,32 @@ BatchResult Oreo::RunBatch(const QueryBatch& batch) {
 
 SimResult Oreo::Run(const std::vector<Query>& queries, bool record_trace) {
   internal::SingleCallerGuard::Scope single_caller(&caller_guard_);
-  SimOptions sim;
-  sim.alpha = options_.alpha;
-  sim.reorg_delay = options_.reorg_delay;
-  sim.record_trace = record_trace;
-  SimResult result = RunSimulation(strategy_.get(), manager_.get(),
-                                   &registry_, queries, sim);
-  query_cost_ += result.query_cost;
-  reorg_cost_ += result.reorg_cost;
-  num_switches_ += result.num_switches;
+  SimResult result;
+  result.method = strategy_->name();
+  if (record_trace) {
+    result.cumulative.reserve(queries.size());
+    result.serving_state.reserve(queries.size());
+  }
+  // Step is the one decision loop, as for RunBatch: Run charges the live
+  // cost and advances the engine's pending swaps exactly as streaming does.
+  for (size_t t = 0; t < queries.size(); ++t) {
+    const int from = physical_state_;
+    const int64_t switches_before = num_switches_;
+    StepResult step = Step(queries[t]);
+    const int64_t switches_now = num_switches_ - switches_before;
+    if (switches_now > 0) {
+      result.reorg_cost += options_.alpha * switches_now;
+      result.num_switches += switches_now;
+      result.switch_events.emplace_back(static_cast<int64_t>(t), from,
+                                        strategy_->current_state());
+    }
+    result.query_cost += step.query_cost;
+    if (record_trace) {
+      result.cumulative.push_back(result.total_cost());
+      result.serving_state.push_back(step.state);
+    }
+  }
+  result.final_live_states = registry_.num_live();
   return result;
 }
 

@@ -231,8 +231,9 @@ class Oreo {
   /// serialize submission through a core::BatchSubmitter.
   BatchResult RunBatch(const QueryBatch& batch);
 
-  /// Convenience API: run a whole stream through the framework and return
-  /// the cost accounting. Resets nothing; intended for a fresh instance.
+  /// Convenience API: run a whole stream through Step and return its cost
+  /// accounting (per-run totals; the engine totals advance too). Resets
+  /// nothing; switch-event indices count from the first query of `queries`.
   SimResult Run(const std::vector<Query>& queries, bool record_trace = false);
 
   // --- live ingest (see OreoEngine::Ingest) --------------------------------

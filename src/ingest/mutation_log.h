@@ -13,7 +13,8 @@
 // bounded under sustained ingest. What the log owns is the version counter
 // and the global appended/deleted accounting that backs the
 //   visible_rows == total_appended − total_deleted
-// invariant hard-checked by bench/micro_ingest at every batch boundary.
+// invariant checked at every batch boundary, across folds, by
+// OreoIngestTest.BatchBoundary* (tests/ingest_test.cc).
 #ifndef OREO_INGEST_MUTATION_LOG_H_
 #define OREO_INGEST_MUTATION_LOG_H_
 

@@ -321,7 +321,7 @@ TEST(BatchEquivalenceTest, HighThroughputClientOverlapsBatchesWithReorg) {
   std::string dir = testutil::ScratchDir("batch_eq_client");
   PhysicalStore store(dir, 4);
   ASSERT_TRUE(store.MaterializeLayout(t, by_ts).ok());
-  ReorgPool bg(1);
+  ReorgPool bg;
   const uint64_t gen_before = bg.generation(0);
 
   PhysicalStore::Snapshot snap = store.GetSnapshot();

@@ -224,31 +224,60 @@ core::OreoOptions IngestOpts(double fold_threshold = 2.0) {
   return opts;
 }
 
-TEST(OreoIngestTest, BatchBoundaryVisibilityAndInvariant) {
+// The mutation-log invariant at every batch boundary, with queries stepped
+// between batches and deletes that hit both base rows and appended rows. At
+// threshold 2.0 nothing folds; at 0.1 the debt crosses the threshold several
+// times, so the invariant must hold across folds too.
+void CheckBatchBoundaries(double fold_threshold) {
   Table base = testutil::MakeEventTable(2000, 31);
   QdTreeGenerator gen;
-  auto engine = core::MakeEngine(&base, &gen, 0, IngestOpts());
+  auto engine = core::MakeEngine(&base, &gen, 0, IngestOpts(fold_threshold));
+  std::vector<Query> queries =
+      testutil::MakeRangeWorkload(0, 2800, 120, 240, 9, /*assign_ids=*/true);
 
-  uint64_t appended = 0, deleted = 0;
-  for (int b = 0; b < 4; ++b) {
+  constexpr int kBatches = 8;
+  constexpr size_t kQueriesPerGap = 30;
+  uint64_t appended = 0, deleted = 0, folds = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    for (size_t i = 0; i < kQueriesPerGap; ++i) {
+      engine->Step(queries[static_cast<size_t>(b) * kQueriesPerGap + i]);
+    }
     IngestBatch batch;
     batch.rows = MakeChunk(100, 2000 + b * 100, 40 + static_cast<uint64_t>(b));
-    if (b == 2) {
+    if (b % 2 == 1) {
+      // 50 visible rows each: base ts at b = 1, 5; the rows batch b - 2
+      // appended at b = 3, 7 (ts is unique, so the count is exact).
+      const int64_t lo = b % 4 == 1 ? b * 100 : 2000 + (b - 2) * 100;
       batch.deletes.push_back(
-          DeleteWhere(Predicate::Lt(0, Value(int64_t{50}))));
+          DeleteWhere(Predicate::Between(0, Value(lo), Value(lo + 49))));
     }
     Result<IngestResult> r = engine->Ingest(std::move(batch));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->version, static_cast<uint64_t>(b + 1));
+    EXPECT_EQ(r->rows_deleted, b % 2 == 1 ? 50u : 0u) << "batch " << b;
     appended += r->rows_appended;
     deleted += r->rows_deleted;
+    if (r->folded) ++folds;
     // The invariant the mutation log owns: visible == base + appended - deleted.
-    EXPECT_EQ(r->visible_rows, 2000u + appended - deleted);
-    EXPECT_FALSE(r->folded);  // threshold 2.0 never folds
+    EXPECT_EQ(r->visible_rows, 2000u + appended - deleted) << "batch " << b;
   }
-  EXPECT_EQ(deleted, 50u);
-  EXPECT_EQ(engine->core(0).data_version(), 4u);
+  EXPECT_EQ(deleted, 200u);
+  if (fold_threshold > 1.0) {
+    EXPECT_EQ(folds, 0u);
+  } else {
+    EXPECT_GE(folds, 1u);
+  }
+  EXPECT_EQ(engine->core(0).folds(), folds);
+  EXPECT_EQ(engine->core(0).data_version(), static_cast<uint64_t>(kBatches));
   EXPECT_EQ(engine->core(0).visible_rows(), 2000u + appended - deleted);
+}
+
+TEST(OreoIngestTest, BatchBoundaryVisibilityAndInvariant) {
+  CheckBatchBoundaries(2.0);  // never folds
+}
+
+TEST(OreoIngestTest, BatchBoundaryInvariantHoldsAcrossFolds) {
+  CheckBatchBoundaries(0.1);  // folds several times
 }
 
 TEST(OreoIngestTest, ValidationRejectsBadBatchesWithoutSideEffects) {
@@ -333,6 +362,43 @@ TEST(OreoIngestTest, QueriesChargeTheLiveCostWhileMutationsPend) {
   core::StepResult scanned = engine->Step(q);
   EXPECT_NEAR(scanned.query_cost,
               (base_cost * 1000.0 + 200.0) / 1400.0, 1e-12);
+}
+
+// Run is Step in a loop: with an un-folded delta chunk pending, it charges
+// the live cost D-UMTS decides on and advances the pending swaps, so a Run
+// engine and a Step-loop twin agree exactly.
+TEST(OreoIngestTest, RunChargesTheLiveCostLikeStep) {
+  Table base = testutil::MakeEventTable(1000, 37);
+  QdTreeGenerator gen;
+  core::OreoOptions opts = IngestOpts();
+  opts.alpha = 2.0;  // cheap switches, so the stream reorganizes
+  opts.reorg_delay = 3;
+  std::vector<Query> stream = testutil::MakeRangeWorkload(0, 1200, 100, 90, 5);
+  for (const Query& q : testutil::MakeRangeWorkload(1, 1000, 80, 90, 6)) {
+    stream.push_back(q);
+  }
+
+  core::Oreo run(&base, &gen, 0, opts);
+  core::Oreo step(&base, &gen, 0, opts);
+  for (core::Oreo* oreo : {&run, &step}) {
+    // Overlaps the base ts range: no query can prune the chunk.
+    ASSERT_TRUE(oreo->Ingest(IngestBatch{MakeChunk(200, 0, 62), {}}).ok());
+  }
+
+  core::SimResult r = run.Run(stream, /*record_trace=*/true);
+  double step_cost = 0.0;
+  for (size_t t = 0; t < stream.size(); ++t) {
+    core::StepResult s = step.Step(stream[t]);
+    step_cost += s.query_cost;
+    EXPECT_EQ(r.serving_state[t], s.state) << "query " << t;
+  }
+  EXPECT_EQ(r.query_cost, step_cost);
+  EXPECT_EQ(r.num_switches, step.num_switches());
+  EXPECT_EQ(r.reorg_cost, step.total_reorg_cost());
+  EXPECT_GT(r.num_switches, 0);
+  EXPECT_EQ(run.total_query_cost(), step.total_query_cost());
+  EXPECT_EQ(run.physical_state(), step.physical_state());
+  EXPECT_EQ(run.current_state(), step.current_state());
 }
 
 // ----------------------------------------- drift-tracking sample refresh ----

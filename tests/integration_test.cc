@@ -206,7 +206,7 @@ TEST(IntegrationTest, StreamingWithBackgroundPhysicalReorganization) {
                   .MaterializeLayout(f.ds.table,
                                      oreo.registry().Get(oreo.default_state()))
                   .ok());
-  ReorgPool bg(1);
+  ReorgPool bg;
 
   int64_t reorgs_submitted = 0;
   for (const Query& q : f.wl.queries) {

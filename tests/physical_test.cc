@@ -1,6 +1,6 @@
 // Tests for the physical execution substrate: materialization, query
 // execution with pruning, full reorganization (row preservation and
-// canonical row order), background rewrites through a one-worker ReorgPool,
+// canonical row order), background rewrites through the ReorgPool,
 // and the replay harness used by the Figure 3 benchmark.
 #include <gtest/gtest.h>
 
@@ -162,7 +162,7 @@ TEST(ReplayPhysicalTest, FollowsDecisionTrace) {
   EXPECT_GT(result->query_seconds, 0.0);
 }
 
-// The paper's single background process (§III-B) is a one-worker ReorgPool
+// The paper's single background process (§III-B) is the ReorgPool
 // serving one store.
 TEST(ReorgPoolTest, CompletesAndSwaps) {
   Table t = MakeTable(5000, 10);
@@ -171,7 +171,7 @@ TEST(ReorgPoolTest, CompletesAndSwaps) {
   PhysicalStore store(TempDir("bg_swap"));
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
   {
-    ReorgPool bg(1);
+    ReorgPool bg;
     EXPECT_FALSE(bg.busy(0));
     ASSERT_TRUE(bg.Submit(testutil::RewriteJob(&store, &t, &b)));
     bg.Wait(0);
@@ -201,7 +201,7 @@ TEST(ReorgPoolTest, SnapshotServesDuringReorganization) {
   q.conjuncts = {Predicate::Between(1, Value(int64_t{100}), Value(int64_t{300}))};
   uint64_t expected = CountMatches(t, q);
 
-  ReorgPool bg(1);
+  ReorgPool bg;
   ASSERT_TRUE(bg.Submit(testutil::RewriteJob(&store, &t, &b)));
   // Keep querying the old snapshot while the rewrite runs; results must be
   // correct throughout (outgoing files stay on disk until Vacuum).
@@ -233,7 +233,7 @@ TEST(ReorgPoolTest, RejectsConcurrentSubmit) {
   LayoutInstance c = SortedInstance(t, 0, 8, "c");
   PhysicalStore store(TempDir("bg_reject"));
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
-  ReorgPool bg(1);
+  ReorgPool bg;
   ASSERT_TRUE(bg.Submit(testutil::RewriteJob(&store, &t, &b)));
   // While busy, further submissions bounce (single background process).
   bool rejected = false;

@@ -662,8 +662,8 @@ TEST(ShardedEquivalenceTest, EveryShardStaysWithinPaperBoundOfItsOptimum) {
 
 // ----------------------------- physical streaming end-to-end -------------
 
-// Batches stream through the logical engine while per-shard background
-// rewrites overlap; every batch's physical matches must equal the
+// Batches stream through the logical engine while the shards' background
+// rewrites run beneath them; every batch's physical matches must equal the
 // whole-table ground truth at all times (snapshot isolation per shard).
 TEST(ShardedEquivalenceTest, PhysicalStreamingStaysCorrectAcrossShardReorgs) {
   const uint64_t seed = 21;
