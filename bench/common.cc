@@ -93,20 +93,6 @@ core::OreoOptions DefaultOreoOptions(const Scale& scale) {
 
 namespace {
 
-core::LayoutManagerOptions ToManagerOptions(const core::OreoOptions& o) {
-  core::LayoutManagerOptions m;
-  m.window_size = o.window_size;
-  m.generate_every = o.generate_every;
-  m.epsilon = o.epsilon;
-  m.admission_sample_size = o.admission_sample_size;
-  m.max_states = o.max_states;
-  m.source = o.source;
-  m.target_partitions = o.target_partitions;
-  m.dataset_sample_rows = o.dataset_sample_rows;
-  m.seed = o.seed ^ 0x9e3779b9;
-  return m;
-}
-
 Table DatasetSample(const Fixture& f, const core::OreoOptions& opts,
                     uint64_t seed) {
   Rng rng(seed);
@@ -148,49 +134,6 @@ core::SimResult RunOreo(const Fixture& f, const LayoutGenerator& gen,
   (void)out_registry;
   core::Oreo oreo(&f.ds.table, &gen, f.ds.time_column, opts);
   return oreo.Run(f.wl.queries, record_trace);
-}
-
-namespace {
-
-template <typename MakeStrategy>
-core::SimResult RunWithManager(const Fixture& f, const LayoutGenerator& gen,
-                               const core::OreoOptions& opts,
-                               bool record_trace, MakeStrategy make_strategy) {
-  core::StateRegistry reg;
-  core::LayoutManager mgr(&f.ds.table, &gen, &reg, ToManagerOptions(opts));
-  int def = mgr.InitDefaultState(f.ds.time_column);
-  auto strategy = make_strategy(&reg, &mgr, def);
-  core::SimOptions sim;
-  sim.alpha = opts.alpha;
-  sim.reorg_delay = opts.reorg_delay;
-  sim.record_trace = record_trace;
-  return core::RunSimulation(strategy.get(), &mgr, &reg, f.wl.queries, sim);
-}
-
-}  // namespace
-
-core::SimResult RunGreedy(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts, bool record_trace,
-                          core::StateRegistry* out_registry) {
-  (void)out_registry;
-  return RunWithManager(
-      f, gen, opts, record_trace,
-      [](core::StateRegistry* reg, core::LayoutManager* mgr, int def) {
-        return std::make_unique<core::GreedyStrategy>(reg, mgr, def);
-      });
-}
-
-core::SimResult RunRegret(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts, bool record_trace,
-                          core::StateRegistry* out_registry) {
-  (void)out_registry;
-  double alpha = opts.alpha;
-  return RunWithManager(
-      f, gen, opts, record_trace,
-      [alpha](core::StateRegistry* reg, core::LayoutManager* /*mgr*/,
-              int def) {
-        return std::make_unique<core::RegretStrategy>(reg, alpha, def);
-      });
 }
 
 namespace {

@@ -1,6 +1,7 @@
 // Shared infrastructure for the paper-reproduction benchmark harnesses:
 // flag parsing, experiment fixtures (dataset + template-switching workload),
-// and one runner per method of comparison (paper SVI-A3 / SVI-C).
+// and the runners for the baselines several drivers share (paper SVI-A3 /
+// SVI-C); fig3_end_to_end builds its Greedy and Regret strategies itself.
 //
 // Default scales are laptop-sized; pass --full for paper-scale runs
 // (row counts and query counts as in SVI-A2).
@@ -72,18 +73,6 @@ core::SimResult RunOreo(const Fixture& f, const LayoutGenerator& gen,
                         const core::OreoOptions& opts,
                         bool record_trace = false,
                         core::StateRegistry* out_registry = nullptr);
-
-/// Runs the Greedy online baseline (shares OREO's candidate pipeline).
-core::SimResult RunGreedy(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts,
-                          bool record_trace = false,
-                          core::StateRegistry* out_registry = nullptr);
-
-/// Runs the Regret online baseline.
-core::SimResult RunRegret(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts,
-                          bool record_trace = false,
-                          core::StateRegistry* out_registry = nullptr);
 
 /// Runs MTS-Optimal: D-UMTS over precomputed per-template layouts (SVI-C).
 core::SimResult RunMtsOptimal(const Fixture& f, const LayoutGenerator& gen,

@@ -10,7 +10,8 @@
 // to two orders of magnitude more expensive than a scan and that the ratio
 // is roughly flat across file sizes.
 //
-// Flags: --sizes=16,64,256 (MB; --full adds 1024) --reps=3 --partitions=8
+// Flags: --sizes=16,64,256 (MB; --full adds 1024) --reps=3 --partitions=8;
+// --quick is the smoke scale, --sizes=1,4 --reps=1 (explicit flags win).
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -39,9 +40,10 @@ double BytesPerRow() {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  int reps = static_cast<int>(flags.GetInt("reps", 3));
+  const bool quick = flags.Has("quick");
+  int reps = static_cast<int>(flags.GetInt("reps", quick ? 1 : 3));
   uint32_t partitions = static_cast<uint32_t>(flags.GetInt("partitions", 8));
-  std::string sizes_str = flags.GetString("sizes", "16,64,256");
+  std::string sizes_str = flags.GetString("sizes", quick ? "1,4" : "16,64,256");
   if (flags.Has("full")) sizes_str += ",1024";
 
   std::vector<double> sizes_mb;

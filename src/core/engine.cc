@@ -337,9 +337,8 @@ Result<PhysicalStore::BatchExec> OreoEngine::ExecuteBatchPhysical(
     for (uint32_t s : touched[qi]) sub[s].push_back(queries[qi]);
   }
   // Shard-major fan-out: one batch scan per touched shard against its
-  // pinned snapshot. A shard's blocks stay resident in a shared cache while
-  // its whole sub-batch reads them, and the batch call warms the later
-  // queries' partitions while the first one scans.
+  // pinned snapshot, which reads each of the shard's surviving blocks once
+  // for its whole sub-batch and warms the rest while the first one scans.
   std::vector<PhysicalStore::BatchExec> execs(n);
   std::vector<Status> statuses(n);
   pool_->ParallelFor(n, [&](size_t s) {

@@ -186,8 +186,9 @@ class OreoEngine {
 
   /// Executes a batch against the pinned per-shard snapshots, shard-major:
   /// each touched shard scans its sub-batch (stream order) in one
-  /// ExecuteQueryBatchOnSnapshot call — which also prefetches the later
-  /// queries' partitions when the backend can — and the calls fan out over
+  /// ExecuteQueryBatchOnSnapshot call — one read of each surviving block per
+  /// batch, with the shard's other surviving partitions prefetched while
+  /// the first scans when the backend can — and the calls fan out over
   /// shards. Per-query counters are summed across touched shards and reduced
   /// serially in stream order. Counter totals (matches above all) are
   /// layout- and thread-count-invariant.

@@ -88,8 +88,8 @@ struct OreoOptions {
   /// Cross-shard tiered block cache (see storage/shared_cache.h). When set,
   /// every shard's store wraps `storage_backend` (or posix when null) in a
   /// shard-charged SharedCacheBackend view: one global memory budget,
-  /// single-flight dedup across shards, and async prefetch of the
-  /// zone-map-surviving partitions of a batch's later queries. Serving
+  /// single-flight dedup across shards, and async prefetch of a batch's
+  /// zone-map-surviving partitions while its first partition scans. Serving
   /// results stay bit-identical with the cache on or off.
   std::shared_ptr<SharedBlockCache> shared_cache;
   /// Compaction trigger for live ingest: fold delta chunks and tombstones

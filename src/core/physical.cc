@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
-#include <set>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -158,117 +158,111 @@ Result<PhysicalStore::BatchExec> PhysicalStore::ExecuteQueryBatchOnSnapshot(
     OREO_CHECK_EQ(live->partition_masks.size(), parts.num_partitions())
         << "live view does not match the snapshot's partitioning";
   }
+  const size_t num_fields = snapshot.schema.num_fields();
 
-  // Serial per-query preparation, in stream order: column projection and
-  // zone-map pruning are metadata-only, so the work list of (query,
-  // surviving partition) pairs — and its order — never depends on the pool.
-  struct Prepared {
-    Query projected;                 // conjuncts remapped to projected ranks
-    std::vector<std::string> needed; // projected column names, schema order
-    std::vector<uint32_t> survivors; // partition ids that must be scanned
-  };
-  std::vector<Prepared> prepared(queries.size());
+  // Serial zone-map pruning in stream order (metadata only), so the
+  // (query, surviving partition) pairs never depend on the pool. Pair slots
+  // are numbered in flat (query, pid) order; each partition collects the
+  // (query, slot) pairs that survive on it, in stream order.
+  std::vector<std::vector<uint32_t>> survivors(queries.size());
+  std::vector<std::vector<std::pair<size_t, size_t>>> pairs_of(
+      parts.num_partitions());
+  size_t num_pairs = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    Prepared& prep = prepared[qi];
-    // Column projection: decode only the columns the query references, then
-    // evaluate a remapped copy of the query against the projected table.
-    // A conjunct-free full scan decodes every column (it represents e.g. the
-    // paper's full-table-scan measurement in Table I). The block reader
-    // returns projected columns in block (schema) order, so predicates are
-    // remapped to each column's rank among the referenced columns.
-    prep.projected = queries[qi];
-    std::set<int> referenced;
-    for (const Predicate& p : prep.projected.conjuncts) {
-      OREO_CHECK(p.column >= 0 &&
-                 static_cast<size_t>(p.column) < snapshot.schema.num_fields());
-      referenced.insert(p.column);
+    for (const Predicate& p : queries[qi].conjuncts) {
+      OREO_CHECK(p.column >= 0 && static_cast<size_t>(p.column) < num_fields);
     }
-    std::vector<int> position(snapshot.schema.num_fields(), -1);
-    for (int col : referenced) {  // std::set iterates ascending
-      position[static_cast<size_t>(col)] = static_cast<int>(prep.needed.size());
-      prep.needed.push_back(snapshot.schema.field(static_cast<size_t>(col)).name);
+    survivors[qi] = PartitionsToRead(parts, queries[qi]);
+    for (uint32_t pid : survivors[qi]) {
+      pairs_of[pid].emplace_back(qi, num_pairs++);
     }
-    for (Predicate& p : prep.projected.conjuncts) {
-      p.column = position[static_cast<size_t>(p.column)];
-    }
-    prep.survivors = PartitionsToRead(parts, queries[qi]);
+  }
+  // One scan task per distinct surviving partition, ascending pid.
+  std::vector<uint32_t> tasks;
+  for (uint32_t pid = 0; pid < pairs_of.size(); ++pid) {
+    if (!pairs_of[pid].empty()) tasks.push_back(pid);
   }
 
-  // One flat ParallelFor over every (query, surviving partition) pair: a
-  // selective query with one survivor no longer serializes the batch — its
-  // single scan interleaves with the other queries' work. Each task stages
-  // its match count in its own slot.
-  struct ScanItem {
-    size_t qi;   // query index in the batch
-    size_t pid;  // partition id to scan
-  };
-  std::vector<ScanItem> items;
-  for (size_t qi = 0; qi < prepared.size(); ++qi) {
-    for (size_t pid : prepared[qi].survivors) items.push_back({qi, pid});
-  }
-
-  // Async prefetch tier: while the first query's survivors (the lowest item
-  // indices, claimed first by the pool) are scanning, warm the partitions
-  // the LATER queries of the batch will need. Partitions the first query
-  // touches are excluded — a demand fetch for them is already imminent.
+  // Async prefetch tier: the pool claims the lowest-pid task first, so its
+  // demand fetch is imminent; warm every later task's file meanwhile.
   // Advisory only: counters and results are identical with prefetch off.
-  if (prefetcher_ != nullptr && prepared.size() > 1) {
-    std::set<std::string> scanning;
-    for (size_t pid : prepared[0].survivors) {
-      scanning.insert(snapshot.files[pid]);
+  if (prefetcher_ != nullptr) {
+    for (size_t t = 1; t < tasks.size(); ++t) {
+      prefetcher_->StartPrefetch(snapshot.files[tasks[t]]);
     }
-    std::set<std::string> requested;
-    for (size_t qi = 1; qi < prepared.size(); ++qi) {
-      for (size_t pid : prepared[qi].survivors) {
-        const std::string& file = snapshot.files[pid];
-        if (scanning.count(file) == 0 && requested.insert(file).second) {
-          prefetcher_->StartPrefetch(file);
-        }
+  }
+
+  // Shared scan: each task reads (and CRC-checks) its block once, decodes
+  // the union of the columns its queries reference — every column if one of
+  // them is conjunct-free, e.g. the paper's Table I full-table scan — and
+  // evaluates each of its queries against the one decoded table. The block
+  // reader returns columns in block (schema) order, so each query's
+  // predicates are remapped to their column's rank among the decoded ones.
+  // Every task writes only its own pairs' slots.
+  std::vector<uint64_t> matches(num_pairs);
+  std::vector<Status> statuses(num_pairs);
+  pool_->ParallelFor(tasks.size(), [&](size_t t) {
+    const uint32_t pid = tasks[t];
+    const std::vector<std::pair<size_t, size_t>>& pairs = pairs_of[pid];
+    std::vector<bool> referenced(num_fields, false);
+    bool all_columns = false;
+    for (const auto& [qi, slot] : pairs) {
+      all_columns |= queries[qi].conjuncts.empty();
+      for (const Predicate& p : queries[qi].conjuncts) {
+        referenced[static_cast<size_t>(p.column)] = true;
       }
     }
-  }
-
-  std::vector<uint64_t> matches(items.size());
-  std::vector<Status> statuses(items.size());
-  pool_->ParallelFor(items.size(), [&](size_t i) {
-    const Prepared& prep = prepared[items[i].qi];
+    std::vector<std::string> needed;
+    std::vector<int> position(num_fields, -1);
+    for (size_t col = 0; col < num_fields; ++col) {
+      if (!all_columns && !referenced[col]) continue;
+      position[col] = static_cast<int>(needed.size());
+      needed.push_back(snapshot.schema.field(col).name);
+    }
     BlockReadOptions read_opts;
-    if (!prep.projected.conjuncts.empty()) read_opts.columns = &prep.needed;
+    if (!all_columns) read_opts.columns = &needed;
     Result<Table> part =
-        ReadBlockFrom(backend_.get(), snapshot.files[items[i].pid], read_opts);
+        ReadBlockFrom(backend_.get(), snapshot.files[pid], read_opts);
     if (!part.ok()) {
-      statuses[i] = part.status();
+      for (const auto& [qi, slot] : pairs) statuses[slot] = part.status();
       return;
     }
-    if (masked) {
-      // Tombstone-respecting count: the partition's live mask word-ANDs the
-      // query bitmap (conjunct-free queries count the mask directly).
-      matches[i] = KernelCountMatchesMasked(
-          *part, prep.projected, live->partition_masks[items[i].pid]);
-    } else if (prep.projected.conjuncts.empty()) {
-      matches[i] = part->num_rows();
-    } else {
-      // Vectorized predicate kernels (query/kernels.h): each projected
-      // column is touched once per conjunct as a flat array, not
-      // dereferenced per row.
-      matches[i] = CountMatches(*part, prep.projected);
+    Query projected;
+    for (const auto& [qi, slot] : pairs) {
+      projected.conjuncts = queries[qi].conjuncts;
+      for (Predicate& p : projected.conjuncts) {
+        p.column = position[static_cast<size_t>(p.column)];
+      }
+      if (masked) {
+        // Tombstone-respecting count: the partition's live mask word-ANDs
+        // the query bitmap (conjunct-free queries count the mask directly).
+        matches[slot] = KernelCountMatchesMasked(*part, projected,
+                                                 live->partition_masks[pid]);
+      } else if (projected.conjuncts.empty()) {
+        matches[slot] = part->num_rows();
+      } else {
+        // Vectorized predicate kernels (query/kernels.h): each projected
+        // column is touched once per conjunct as a flat array, not
+        // dereferenced per row.
+        matches[slot] = CountMatches(*part, projected);
+      }
     }
   });
-  // Flat order is (stream order, partition order), so the first error
-  // reported equals the one the per-query path would have returned.
+  // Slots are in flat (stream order, partition order) order, so the first
+  // error reported equals the one the per-query path would have returned.
   OREO_RETURN_NOT_OK(FirstError(statuses));
 
   // Serial reduction in stream order, partitions in pid order within each
   // query — the exact sequence a one-at-a-time execution accumulates.
   batch.per_query.resize(queries.size());
-  size_t item = 0;
-  for (size_t qi = 0; qi < prepared.size(); ++qi) {
+  size_t slot = 0;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
     QueryExec& exec = batch.per_query[qi];
-    for (size_t pid : prepared[qi].survivors) {
+    for (uint32_t pid : survivors[qi]) {
       ++exec.partitions_read;
       exec.bytes_read += snapshot.file_bytes[pid];
       exec.rows_scanned += parts.zones[pid].num_rows;
-      exec.matches += matches[item++];
+      exec.matches += matches[slot++];
     }
     if (live != nullptr) {
       // Delta chunks after the base partitions, serially in chunk order:

@@ -81,13 +81,16 @@ class PhysicalStore {
     std::vector<QueryExec> per_query;
   };
 
-  /// Executes a whole batch against one snapshot of the materialized layout:
-  /// per-query zone-map pruning runs serially (metadata only), then one
-  /// ParallelFor over every (query, surviving partition) pair scans the
-  /// files, and per-query counters are reduced serially in stream order.
-  /// Counters are bit-identical to executing the queries one at a time; the
-  /// batch simply exposes cross-query parallelism to the pool (a selective
-  /// query no longer leaves workers idle).
+  /// Executes a whole batch against one snapshot of the materialized layout
+  /// as a shared scan: per-query zone-map pruning runs serially (metadata
+  /// only), then one ParallelFor runs a task per distinct surviving
+  /// partition. Each task reads and CRC-checks its block once, decodes the
+  /// union of the columns its queries reference (all of them if one query
+  /// is conjunct-free), and counts every query that survives on it against
+  /// that one decoded table. Per-query counters are reduced serially in
+  /// stream order and are bit-identical to executing the queries one at a
+  /// time; on failure the first error in (query, partition) order is
+  /// returned, as the per-query path would.
   Result<BatchExec> ExecuteQueryBatch(const std::vector<Query>& queries);
 
   /// Full reorganization into `to`: reads every current partition file
@@ -143,11 +146,11 @@ class PhysicalStore {
 
   /// Batch execution against an explicit snapshot (thread-safe, read-only);
   /// see ExecuteQueryBatch for the determinism contract. When the backend
-  /// implements BlockPrefetcher, the zone-map-surviving partitions of
-  /// `queries[1..]` are prefetched asynchronously while the first query
-  /// scans — excluding the first query's own partitions, whose demand fetch
-  /// is imminent. Prefetch is advisory: results and counters never depend
-  /// on whether it happened, was dropped, or failed.
+  /// implements BlockPrefetcher, every distinct surviving partition but the
+  /// lowest-pid one — the task the pool claims first, whose demand fetch is
+  /// imminent — is prefetched asynchronously. Prefetch is advisory: results
+  /// and counters never depend on whether it happened, was dropped, or
+  /// failed.
   ///
   /// With a non-null `live` view, every partition's match count is masked by
   /// its tombstone bitmap (one word-AND per 64 rows) and the view's delta

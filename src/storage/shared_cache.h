@@ -2,8 +2,8 @@
 // the memory budget over many shards on one slow remote tier and re-fetch
 // the same object once per shard. The SharedBlockCache holds ONE global
 // budget with per-shard accounting and single-flight dedup across every
-// shard view, plus an async prefetch executor that warms zone-map-surviving
-// partitions for the next queries of a batch while the current ones scan.
+// shard view, plus an async prefetch executor that warms a batch's
+// zone-map-surviving partitions while the first of them scans.
 //
 // A single store's private cache is simply one view:
 // MakeSharedCacheBackend(MakeSharedBlockCache(options), base, /*shard=*/0).

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -96,50 +95,7 @@ TEST(StorageBackendTest, BlockAndMetadataBytesAreBackendInvariant) {
 
 // ----------------------------------------------- failure propagation -----
 
-// Test double: forwards to a wrapped backend but fails every write whose
-// path contains `fail_substring`, from the Nth on (or from Arm()), until
-// Heal().
-class FaultInjectionBackend : public StorageBackend {
- public:
-  FaultInjectionBackend(std::shared_ptr<StorageBackend> base,
-                        std::string fail_substring, int64_t fail_after)
-      : base_(std::move(base)),
-        fail_substring_(std::move(fail_substring)),
-        remaining_(fail_after) {}
-
-  std::string name() const override { return "fault(" + base_->name() + ")"; }
-  Result<std::string> ReadBlock(const std::string& path) override {
-    return base_->ReadBlock(path);
-  }
-  Status AtomicWriteBlock(const std::string& path, const std::string& data,
-                          bool sync) override {
-    if (path.find(fail_substring_) != std::string::npos &&
-        remaining_.fetch_sub(1) <= 0) {
-      return Status::IoError("injected write failure: " + path);
-    }
-    return base_->AtomicWriteBlock(path, data, sync);
-  }
-  Result<std::vector<std::string>> List(const std::string& dir) override {
-    return base_->List(dir);
-  }
-  Status Remove(const std::string& path) override {
-    return base_->Remove(path);
-  }
-  Status CreateDir(const std::string& dir) override {
-    return base_->CreateDir(dir);
-  }
-  Status Sync() override { return base_->Sync(); }
-  BackendStats stats() const override { return base_->stats(); }
-
-  void Heal() { remaining_ = INT64_MAX; }
-  /// Fails every matching write from now on.
-  void Arm() { remaining_ = 0; }
-
- private:
-  std::shared_ptr<StorageBackend> base_;
-  std::string fail_substring_;
-  std::atomic<int64_t> remaining_;
-};
+using testutil::FaultInjectionBackend;
 
 TEST(PhysicalStoreFaultTest, FailedMaterializationLeavesNoTornFiles) {
   Table t = testutil::MakeEventTable(2000, 41);

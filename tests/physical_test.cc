@@ -4,7 +4,12 @@
 // and the replay harness used by the Figure 3 benchmark.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/background.h"
 #include "core/physical.h"
@@ -70,6 +75,154 @@ TEST(PhysicalStoreTest, PruningSkipsPartitionsAndMatchesLogicalCount) {
   // Narrow ts range on the ts-sorted layout: most partitions skipped.
   EXPECT_LT(exec->partitions_read, 5u);
   EXPECT_LT(exec->rows_scanned, 4000u);
+}
+
+// The batch scan reads, CRC-checks and decodes each surviving block once,
+// however many of the batch's queries survive on it — queries on different
+// columns share one decode over the union of their columns, and a
+// conjunct-free query widens it to every column — while every per-query
+// counter equals a one-query execution, with and without a tombstone mask.
+TEST(PhysicalStoreTest, BatchReadsEachSurvivingBlockOnce) {
+  Table t = MakeTable(3000, 11);
+  LayoutInstance inst = SortedInstance(t, 0, 12, "by_ts");
+  const Partitioning& parts = inst.partitioning();
+
+  // Overlapping ts ranges, alone and combined with qty / cat conjuncts, so
+  // queries on different columns survive on the same partitions.
+  std::vector<Query> selective =
+      testutil::MakeRangeWorkload(0, 1500, 300, 6, 12);
+  for (size_t i = 0; i < 3; ++i) {
+    Query q = selective[i];
+    q.conjuncts.push_back(
+        Predicate::Between(1, Value(int64_t{100}), Value(int64_t{600})));
+    selective.push_back(q);
+    q = selective[i + 3];
+    q.conjuncts.push_back(Predicate::In(2, {Value("a"), Value("c")}));
+    selective.push_back(q);
+  }
+  std::vector<Query> with_full_scan = selective;
+  with_full_scan.insert(with_full_scan.begin() + 4, Query{});
+
+  // Tombstones: every third row of every partition is dead.
+  PhysicalStore::LiveScanView live;
+  for (const std::vector<uint32_t>& rows : parts.partitions) {
+    BitVector mask(rows.size());
+    for (size_t j = 0; j < rows.size(); ++j) {
+      if (j % 3 != 0) mask.Set(j);
+    }
+    live.partition_masks.push_back(std::move(mask));
+  }
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto base = MakeInMemoryBackend();
+    PhysicalStore store(TempDir("shared_scan_" + std::to_string(threads)),
+                        threads, base);
+    ASSERT_TRUE(store.MaterializeLayout(t, inst).ok());
+    const PhysicalStore::Snapshot snap = store.GetSnapshot();
+    for (const std::vector<Query>* batch : {&selective, &with_full_scan}) {
+      std::set<uint32_t> distinct;
+      size_t pairs = 0;
+      for (const Query& q : *batch) {
+        std::vector<uint32_t> survivors = PartitionsToRead(parts, q);
+        distinct.insert(survivors.begin(), survivors.end());
+        pairs += survivors.size();
+      }
+      ASSERT_GT(pairs, distinct.size()) << "no partition shared by queries";
+      if (batch == &selective) {
+        ASSERT_LT(distinct.size(), parts.num_partitions());
+      }
+      const PhysicalStore::LiveScanView* views[] = {nullptr, &live};
+      for (const PhysicalStore::LiveScanView* view : views) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " queries=" + std::to_string(batch->size()) +
+                     (view != nullptr ? " masked" : " unmasked"));
+        const uint64_t reads_before = base->stats().reads;
+        auto exec = store.ExecuteQueryBatchOnSnapshot(snap, *batch, view);
+        ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+        EXPECT_EQ(base->stats().reads - reads_before, distinct.size())
+            << "a surviving block was read more than once in one batch";
+        ASSERT_EQ(exec->per_query.size(), batch->size());
+        for (size_t qi = 0; qi < batch->size(); ++qi) {
+          const Query& q = (*batch)[qi];
+          // The one-query reference: ExecuteQuery, or with the mask a
+          // one-query batch (ExecuteQuery takes no live view).
+          Result<PhysicalStore::QueryExec> single = store.ExecuteQuery(q);
+          if (view != nullptr) {
+            auto one = store.ExecuteQueryBatchOnSnapshot(snap, {q}, view);
+            ASSERT_TRUE(one.ok());
+            single = one->per_query.front();
+          }
+          ASSERT_TRUE(single.ok());
+          const PhysicalStore::QueryExec& got = exec->per_query[qi];
+          EXPECT_EQ(got.partitions_read, single->partitions_read) << qi;
+          EXPECT_EQ(got.rows_scanned, single->rows_scanned) << qi;
+          EXPECT_EQ(got.bytes_read, single->bytes_read) << qi;
+          EXPECT_EQ(got.matches, single->matches) << qi;
+          // Ground truth: the live rows of the table that match.
+          uint64_t expected = 0;
+          for (size_t pid = 0; pid < parts.num_partitions(); ++pid) {
+            for (size_t j = 0; j < parts.partitions[pid].size(); ++j) {
+              if (view != nullptr && !live.partition_masks[pid].Get(j)) {
+                continue;
+              }
+              if (q.Matches(t, parts.partitions[pid][j])) ++expected;
+            }
+          }
+          EXPECT_EQ(got.matches, expected) << qi;
+        }
+      }
+    }
+  }
+}
+
+// A failed block read fails every query that survives on it, and the batch
+// reports the error the per-query path meets first — in stream order, not
+// in the order the shared scan visits partitions.
+TEST(PhysicalStoreTest, BatchScanReportsThePerQueryPathsFirstError) {
+  Table t = MakeTable(3000, 13);
+  LayoutInstance inst = SortedInstance(t, 0, 12, "by_ts");
+  const Partitioning& parts = inst.partitioning();
+  auto point = [&](size_t pid) {
+    Query q;
+    q.conjuncts = {Predicate::Eq(
+        0, Value(t.column(0).GetInt64(parts.partitions[pid].front())))};
+    return q;
+  };
+  // The first query survives only on a late partition, the second only on
+  // an early one: pid order would report the second query's error.
+  const std::vector<Query> batch = {point(parts.num_partitions() - 1), Query{},
+                                    point(0)};
+  const std::vector<uint32_t> late = PartitionsToRead(parts, batch[0]);
+  const std::vector<uint32_t> early = PartitionsToRead(parts, batch[2]);
+  ASSERT_LT(early.back(), late.front());
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto faulty = std::make_shared<testutil::FaultInjectionBackend>(
+        MakeInMemoryBackend(), "", INT64_MAX);
+    PhysicalStore store(TempDir("shared_scan_err_" + std::to_string(threads)),
+                        threads, faulty);
+    ASSERT_TRUE(store.MaterializeLayout(t, inst).ok());
+    const PhysicalStore::Snapshot snap = store.GetSnapshot();
+    faulty->FailReadsOf(snap.files[late.front()]);
+    faulty->FailReadsOf(snap.files[early.front()]);
+
+    Status per_query;
+    for (const Query& q : batch) {
+      auto exec = store.ExecuteQuery(q);
+      if (!exec.ok()) {
+        per_query = exec.status();
+        break;
+      }
+    }
+    ASSERT_FALSE(per_query.ok());
+    auto batched = store.ExecuteQueryBatch(batch);
+    ASSERT_FALSE(batched.ok());
+    EXPECT_EQ(batched.status().ToString(), per_query.ToString())
+        << "threads=" << threads;
+    EXPECT_NE(per_query.ToString().find(snap.files[late.front()]),
+              std::string::npos)
+        << per_query.ToString();
+  }
 }
 
 TEST(PhysicalStoreTest, ReorganizePreservesRowsExactly) {

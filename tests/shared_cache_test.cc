@@ -14,8 +14,8 @@
 //      through different shard views share one base fetch.
 //   4. Async prefetch is advisory and invisible to correctness: it warms the
 //      cache (demand reads become hits), failures never surface to later
-//      demand reads, and PhysicalStore feeds it the zone-map survivors of
-//      the *next* queries in a batch.
+//      demand reads, and PhysicalStore feeds it a batch's zone-map
+//      survivors beyond the first partition it scans.
 //   5. A single view behaves as a plain bounded block cache: hit/miss and
 //      strict-LRU accounting, invalidation on write/remove, thread-count-
 //      invariant hit/miss totals, and result-identical scans across a
@@ -360,8 +360,8 @@ TEST(SharedBlockCacheTest, FailedPrefetchIsInvisibleToDemandReads) {
 }
 
 // End-to-end plumbing: PhysicalStore discovers the BlockPrefetcher interface
-// on its backend and, while a batch's first query scans, warms the zone-map
-// survivors of the later queries; results stay ground truth.
+// on its backend and, while a batch's first partition scans, warms the
+// batch's other zone-map survivors; results stay ground truth.
 TEST(SharedBlockCacheTest, PhysicalStorePrefetchesUpcomingQueries) {
   const uint64_t seed = 7;
   Table t = testutil::MakeEventTable(2000, seed);
@@ -470,9 +470,10 @@ TEST(SharedCacheViewTest, StrictLruEvictionNeverServesWrongBytes) {
   EXPECT_LE(cache->stats().resident_bytes, 8u);
 }
 
-// Hit/miss accounting is thread-count invariant: one miss per distinct
-// partition, everything else hits (coalesced or cached), regardless of how
-// the pool interleaves the scan fan-out.
+// Hit/miss accounting is exact and thread-count invariant: a batch reads
+// each distinct surviving partition once, so the first batch misses once
+// per file and hits nothing, and the same batch again hits once per file —
+// regardless of how the pool interleaves the scan fan-out.
 TEST(SharedCacheViewTest, HitMissAccountingIsThreadCountInvariant) {
   const uint64_t seed = 19;
   Table t = testutil::MakeEventTable(3000, seed);
@@ -492,14 +493,18 @@ TEST(SharedCacheViewTest, HitMissAccountingIsThreadCountInvariant) {
         testutil::ScratchDir("cache_det_" + std::to_string(threads));
     core::PhysicalStore store(dir, threads, cached);
     ASSERT_TRUE(store.MaterializeLayout(t, by_ts).ok());
+    // The full scans touch every partition.
+    const uint64_t files = store.GetSnapshot().files.size();
     auto exec = store.ExecuteQueryBatch(queries);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     SharedCacheStats stats = cached->cache()->stats();
-    EXPECT_GT(stats.hits, 0u);
-    EXPECT_GT(stats.misses, 0u);
-    // One miss per distinct partition: the full scans touch every
-    // partition, and the batch never fetches one from the base twice.
-    EXPECT_EQ(stats.misses, store.GetSnapshot().files.size());
+    EXPECT_EQ(stats.misses, files);
+    EXPECT_EQ(stats.hits, 0u) << "a batch read some partition twice";
+    exec = store.ExecuteQueryBatch(queries);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    stats = cached->cache()->stats();
+    EXPECT_EQ(stats.hits, files);
+    EXPECT_EQ(stats.misses, files);
     runs.push_back(Counts{stats.hits, stats.misses, stats.hit_bytes,
                           stats.miss_bytes});
   }

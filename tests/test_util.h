@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -203,6 +207,58 @@ inline std::shared_ptr<StorageBackend> TestBackend(
   ADD_FAILURE() << "unknown OREO_TEST_BACKEND value: " << name;
   return MakePosixBackend();
 }
+
+// Test double: forwards to a wrapped backend but fails every write whose
+// path contains `fail_substring`, from the Nth on (or from Arm()), until
+// Heal(), and every read of a path named by FailReadsOf().
+class FaultInjectionBackend : public StorageBackend {
+ public:
+  FaultInjectionBackend(std::shared_ptr<StorageBackend> base,
+                        std::string fail_substring, int64_t fail_after)
+      : base_(std::move(base)),
+        fail_substring_(std::move(fail_substring)),
+        remaining_(fail_after) {}
+
+  std::string name() const override { return "fault(" + base_->name() + ")"; }
+  Result<std::string> ReadBlock(const std::string& path) override {
+    if (failed_reads_.count(path) != 0) {
+      return Status::IoError("injected read failure: " + path);
+    }
+    return base_->ReadBlock(path);
+  }
+  Status AtomicWriteBlock(const std::string& path, const std::string& data,
+                          bool sync) override {
+    if (path.find(fail_substring_) != std::string::npos &&
+        remaining_.fetch_sub(1) <= 0) {
+      return Status::IoError("injected write failure: " + path);
+    }
+    return base_->AtomicWriteBlock(path, data, sync);
+  }
+  Result<std::vector<std::string>> List(const std::string& dir) override {
+    return base_->List(dir);
+  }
+  Status Remove(const std::string& path) override {
+    return base_->Remove(path);
+  }
+  Status CreateDir(const std::string& dir) override {
+    return base_->CreateDir(dir);
+  }
+  Status Sync() override { return base_->Sync(); }
+  BackendStats stats() const override { return base_->stats(); }
+
+  void Heal() { remaining_ = INT64_MAX; }
+  /// Fails every matching write from now on.
+  void Arm() { remaining_ = 0; }
+  /// Fails every read of `path` from now on. Not thread-safe: call it while
+  /// no read is in flight.
+  void FailReadsOf(const std::string& path) { failed_reads_.insert(path); }
+
+ private:
+  std::shared_ptr<StorageBackend> base_;
+  std::string fail_substring_;
+  std::atomic<int64_t> remaining_;
+  std::set<std::string> failed_reads_;
+};
 
 // Content fingerprint of one object read through `backend` (0 plus a test
 // failure if the object cannot be read): the CRC-32C of its bytes without
