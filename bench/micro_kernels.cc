@@ -12,6 +12,10 @@
 //   eytzinger_lookup  sorted-boundary rank lookups vs std::lower_bound
 //   codec_delta       delta-varint int64 decode (block fast path)
 //   codec_rle         RLE int64 decode (pointer-fill fast path)
+//   codec_bitpack     bit-packed decode: 3-bit dictionary codes (8 used
+//                     entries) plus 20-bit frame-of-reference offsets, per
+//                     row; byte-wise reference vs 8-byte word loads. Both
+//                     modes' outputs are checked equal element for element
 //   crc32c_4k/17k/1m  CRC-32C of 4 KiB, 17 KiB and 1 MiB buffers: the
 //                     table loop vs the dispatched (SSE4.2) path, in bytes
 //   qdtree_generate   QdTreeGenerator::Generate at the tpcds_decide shape
@@ -225,6 +229,38 @@ int Main(int argc, char** argv) {
       return static_cast<uint64_t>(out.back()) + static_cast<uint64_t>(out[0]);
     });
     results.push_back(rr);
+
+    // Bit-packed blocks: the string column's codes (8 categories, 3 bits)
+    // and the int column's offsets (values in [0, 1e6], 20 bits).
+    std::string dict_buf, for_buf;
+    EncodeStringDict(t.column(2).codes(), t.column(2).dictionary(), &dict_buf);
+    EncodeInt64(t.column(0).ints(), Encoding::kFrameOfReference, &for_buf);
+    std::vector<uint32_t> codes;
+    std::vector<std::string> dict;
+    auto decode_packed = [&] {
+      OREO_CHECK(DecodeStringDict(dict_buf, rows, &codes, &dict).ok());
+      OREO_CHECK(
+          DecodeInt64(for_buf, Encoding::kFrameOfReference, rows, &out).ok());
+    };
+    // The bit-identity contract on the whole output, not just a checksum.
+    simd::SetGlobalKernelMode(simd::KernelMode::kScalar);
+    decode_packed();
+    const std::vector<uint32_t> scalar_codes = codes;
+    const std::vector<int64_t> scalar_ints = out;
+    simd::SetGlobalKernelMode(simd::KernelMode::kVector);
+    decode_packed();
+    simd::SetGlobalKernelMode(simd::KernelMode::kAuto);
+    OREO_CHECK(codes == scalar_codes && out == scalar_ints)
+        << "codec_bitpack: kernel modes decoded different values";
+    OREO_CHECK(out == t.column(0).ints())
+        << "codec_bitpack: frame-of-reference did not round-trip";
+    KernelResult rb{"codec_bitpack", "values", 0, 0,
+                    2.0 * static_cast<double>(rows), 0};
+    Measure(&rb, reps, [&] {
+      decode_packed();
+      return static_cast<uint64_t>(out.back()) + codes.back() + dict.size();
+    });
+    results.push_back(rb);
   }
 
   // ---- CRC-32C: every block read checksums the whole block ------------

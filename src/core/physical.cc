@@ -300,7 +300,8 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   Timing timing;
   Stopwatch sw;
 
-  const uint32_t raw_partitions = to.layout().NumPartitionsUpperBound();
+  const Partitioning& parts = to.partitioning();
+  const size_t num_targets = parts.num_partitions();
   size_t epoch;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -308,16 +309,23 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   }
 
   // Pass 1 — shuffle: read and decompress every current partition, route its
-  // rows through the new layout (the "update the BID column" step), and
+  // rows to their target partitions (the "update the BID column" step), and
   // spill one run file per (source, target) pair. Real systems repartition
   // out-of-core exactly like this; the table cannot be assumed to fit in
   // memory. Every run remembers the base row ids of its rows: file row r of
   // source partition src is base row source.partitions[src][r], because
-  // every file is written in canonical order. Sources shuffle in parallel:
-  // every task writes only spill files named after its own source id and
-  // its own result slot; the per-target run lists are then assembled
-  // serially in source order, so the merge pass sees the exact run order a
-  // serial shuffle would.
+  // every file is written in canonical order. A row is routed by that base
+  // id through `to.partitioning()`, never by re-running the layout on the
+  // decoded block: block-local dictionary codes are not the table's, so a
+  // layout that reads a string column's code would misroute it. Sources
+  // shuffle in parallel: every task writes only spill files named after its
+  // own source id and its own result slot; the per-target run lists are then
+  // assembled serially in source order, so the merge pass sees the exact run
+  // order a serial shuffle would.
+  std::vector<uint32_t> target_of(table.num_rows());
+  for (uint32_t pid = 0; pid < num_targets; ++pid) {
+    for (uint32_t row : parts.partitions[pid]) target_of[row] = pid;
+  }
   struct SpillRun {
     std::string path;
     std::vector<uint32_t> ids;  // base row ids, ascending
@@ -340,12 +348,11 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
     OREO_CHECK_EQ(part->num_rows(), base_ids.size())
         << "partition file does not match its snapshot's partitioning";
     out.rows = part->num_rows();
-    std::vector<uint32_t> assignment = to.layout().Assign(*part);
-    std::vector<std::vector<uint32_t>> rows_per_target(raw_partitions);
-    for (uint32_t r = 0; r < assignment.size(); ++r) {
-      rows_per_target[assignment[r]].push_back(r);
+    std::vector<std::vector<uint32_t>> rows_per_target(num_targets);
+    for (uint32_t r = 0; r < base_ids.size(); ++r) {
+      rows_per_target[target_of[base_ids[r]]].push_back(r);
     }
-    for (uint32_t tgt = 0; tgt < raw_partitions; ++tgt) {
+    for (uint32_t tgt = 0; tgt < num_targets; ++tgt) {
       if (rows_per_target[tgt].empty()) continue;
       SpillRun run;
       run.path = dir_ + "/spill_e" + std::to_string(epoch) + "_s" +
@@ -363,7 +370,7 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   // Partial-write cleanup on shuffle failure: drop every spill run written
   // so far; the source layout is untouched and keeps serving.
   uint64_t rows_read = 0;
-  std::vector<std::vector<SpillRun>> spills(raw_partitions);
+  std::vector<std::vector<SpillRun>> spills(num_targets);
   auto spill_paths = [&spills](uint32_t tgt) {
     std::vector<std::string> paths;
     for (const SpillRun& run : spills[tgt]) paths.push_back(run.path);
@@ -377,7 +384,7 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
       for (auto& [tgt, run] : s.runs) spills[tgt].push_back(std::move(run));
     }
     if (!first.ok()) {
-      for (uint32_t tgt = 0; tgt < raw_partitions; ++tgt) {
+      for (uint32_t tgt = 0; tgt < num_targets; ++tgt) {
         BestEffortRemoveAll(backend_.get(), spill_paths(tgt));
       }
       return first;
@@ -388,30 +395,23 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   // Pass 2 — merge: per target partition, read its runs back, merge them
   // into ascending base-row-id order (the canonical order of
   // `to.partitioning()`, which the tombstone masks index by), compress and
-  // durably write the final partition file. Raw target ids with no rows are
-  // dropped, mirroring BuildPartitioning's compaction, so file order lines
-  // up with `to.partitioning()`'s zone maps. The dense pid of every
-  // surviving target is known up front, so the merges are independent and
-  // fan out across the pool.
+  // durably write the final partition file. Targets are `to.partitioning()`'s
+  // dense pids, so file order lines up with its zone maps, and the merges are
+  // independent and fan out across the pool.
   size_t next_epoch = epoch + 1;
-  const Partitioning& parts = to.partitioning();
-  std::vector<uint32_t> surviving;  // raw target ids with rows, ascending
-  for (uint32_t tgt = 0; tgt < raw_partitions; ++tgt) {
-    if (!spills[tgt].empty()) surviving.push_back(tgt);
-  }
-  OREO_CHECK_EQ(surviving.size(), parts.num_partitions())
-      << "shuffle partition count diverged from the canonical partitioning";
-  std::vector<std::string> new_files(surviving.size());
-  std::vector<uint64_t> new_bytes(surviving.size());
-  std::vector<Status> statuses(surviving.size());
-  pool_->ParallelFor(surviving.size(), [&](size_t pid) {
-    // The first run seeds the merged table, string dictionary included:
-    // every block carries its table's whole dictionary (Take shares it), so
-    // the later runs append into the same codes and the file bytes match a
-    // fresh materialization.
+  std::vector<std::string> new_files(num_targets);
+  std::vector<uint64_t> new_bytes(num_targets);
+  std::vector<Status> statuses(num_targets);
+  pool_->ParallelFor(num_targets, [&](size_t pid) {
+    // The first run seeds the merged table; later runs append through its
+    // dictionary (Table::Append re-encodes each string once per distinct
+    // code). The runs' block-local dictionaries differ, but the writer keeps
+    // only the used entries in order of first appearance in the rows, so the
+    // file bytes match a fresh materialization whatever the merged table's
+    // in-memory dictionary is.
     std::optional<Table> merged;
     std::vector<uint32_t> ids;
-    for (const SpillRun& spill : spills[surviving[pid]]) {
+    for (const SpillRun& spill : spills[pid]) {
       Result<Table> run = ReadBlockFrom(backend_.get(), spill.path);
       if (!run.ok()) {
         statuses[pid] = run.status();
@@ -424,6 +424,8 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
       }
       ids.insert(ids.end(), spill.ids.begin(), spill.ids.end());
     }
+    OREO_CHECK(merged.has_value()) << "target partition " << pid
+                                   << " received no rows";
     // Runs are each ascending; they interleave unless every source
     // partition is a range of row ids, so restore the id order.
     if (!std::is_sorted(ids.begin(), ids.end())) {
@@ -448,7 +450,7 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
     }
     new_files[pid] = path;
     new_bytes[pid] = *bytes;
-    BestEffortRemoveAll(backend_.get(), spill_paths(surviving[pid]));
+    BestEffortRemoveAll(backend_.get(), spill_paths(pid));
   });
   {
     // Partial-write cleanup on merge failure: remove the new-epoch files and
@@ -456,11 +458,11 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
     // serving untouched.
     Status first = FirstError(statuses);
     if (!first.ok()) {
-      for (size_t pid = 0; pid < surviving.size(); ++pid) {
+      for (uint32_t pid = 0; pid < num_targets; ++pid) {
         if (!new_files[pid].empty()) {
           BestEffortRemoveAll(backend_.get(), {new_files[pid]});
         } else {
-          BestEffortRemoveAll(backend_.get(), spill_paths(surviving[pid]));
+          BestEffortRemoveAll(backend_.get(), spill_paths(pid));
         }
       }
       return first;

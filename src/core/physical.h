@@ -2,8 +2,8 @@
 // Table I). This replaces the paper's shallow Spark integration (DESIGN.md,
 // substitutions): partitions live as compressed block files on local disk;
 // a query prunes partitions via zone maps and scans the survivors; a
-// reorganization reads every partition, re-assigns rows under the new layout,
-// and compresses + writes the new partition files.
+// reorganization reads every partition, routes its rows to their partitions
+// under the new layout, and compresses + writes the new partition files.
 #ifndef OREO_CORE_PHYSICAL_H_
 #define OREO_CORE_PHYSICAL_H_
 
@@ -94,8 +94,9 @@ class PhysicalStore {
   Result<BatchExec> ExecuteQueryBatch(const std::vector<Query>& queries);
 
   /// Full reorganization into `to`: reads every current partition file
-  /// (decompression included), re-partitions `table` rows, writes the new
-  /// files. The returned timing covers read + assign + compress + write.
+  /// (decompression included), routes each row by its base row id through
+  /// `to.partitioning()`, writes the new files. The returned timing covers
+  /// read + route + compress + write.
   /// Every file is written in canonical row order — the order of
   /// `to.partitioning().partitions[pid]` — so its bytes equal a fresh
   /// MaterializeLayout of `to`, and per-partition tombstone masks

@@ -11,7 +11,7 @@ namespace oreo {
 namespace {
 
 constexpr char kMagic[8] = {'O', 'R', 'E', 'O', 'B', 'L', 'K', '1'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 template <typename T>
 void AppendRaw(std::string* out, const T& v) {

@@ -1,13 +1,24 @@
 // On-disk partition block format (one file per partition), the stand-in for
 // the Parquet files the paper writes during reorganization:
 //
-//   [magic "OREOBLK1"] [u32 version] [u32 ncols] [u64 nrows]
+//   [magic "OREOBLK1"] [u32 version = 2] [u32 ncols] [u64 nrows]
 //   per column: [varint name_len][name][u8 type][u8 encoding]
 //               [u64 payload_size][payload]
 //   [u32 CRC-32C over everything above]
 //
-// The reader validates magic, structure, and checksum, returning
-// Status::Corruption on any mismatch (exercised by failure-injection tests).
+// Payloads (storage/codec.h):
+//   int64   plain | RLE | delta-varint | frame-of-reference
+//           ([i64 base][u8 w][w-bit packed offsets])
+//   double  plain
+//   string  dictionary: [varint used][used x (varint len, bytes)]
+//           [codes packed at ceil(log2 used) bits]; the dictionary holds
+//           only the entries this block's rows use, in order of first
+//           appearance, so a block's bytes depend only on its row values.
+//
+// Only version 2 is readable. The reader validates magic, version,
+// structure, and checksum, returning Status::Corruption on any mismatch
+// (exercised by failure-injection tests). Decoded string columns carry the
+// block's own dictionary and codes, not the writer table's.
 #ifndef OREO_STORAGE_BLOCK_H_
 #define OREO_STORAGE_BLOCK_H_
 

@@ -1,5 +1,6 @@
 #include "storage/codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -17,6 +18,8 @@ const char* EncodingName(Encoding e) {
       return "delta-varint";
     case Encoding::kDictionary:
       return "dictionary";
+    case Encoding::kFrameOfReference:
+      return "frame-of-reference";
   }
   return "unknown";
 }
@@ -68,8 +71,115 @@ bool ReadRaw(std::string_view data, size_t* pos, T* v) {
   return true;
 }
 
-// Vectorized decode paths. The wire format is untouched (encoders above are
-// the single source of truth); these only read it faster. Both return the
+// Bits needed to hold `v` (0 for 0).
+int BitWidth(uint64_t v) { return v == 0 ? 0 : 64 - __builtin_clzll(v); }
+
+// Code width of a dictionary with `used` entries: ceil(log2(used)).
+int CodeWidth(uint64_t used) { return used == 0 ? 0 : BitWidth(used - 1); }
+
+size_t VarintLength(uint64_t v) { return 1 + (BitWidth(v | 1) - 1) / 7; }
+
+// Bytes of `n` packed `w`-bit fields.
+size_t PackedBytes(size_t n, int w) {
+  return (n * static_cast<size_t>(w) + 7) / 8;
+}
+
+// True when `bytes` is exactly the packed size of `n` `w`-bit fields. The
+// division comes first, so a corrupt row count cannot overflow n * w.
+bool PackedSizeIs(size_t n, int w, size_t bytes) {
+  if (w == 0) return bytes == 0;
+  if (n > bytes * 8 / static_cast<size_t>(w)) return false;
+  return PackedBytes(n, w) == bytes;
+}
+
+// Appends `width`-bit fields to `out`, least significant bit first. At most
+// 7 bits wait in the accumulator between fields, so a field of up to 56
+// bits always fits beside them; wider fields go in two halves.
+class BitWriter {
+ public:
+  BitWriter(std::string* out, int width) : out_(out), width_(width) {}
+
+  void Put(uint64_t v) {
+    if (width_ > 56) {
+      Append(v & 0xffffffffu, 32);
+      Append(v >> 32, width_ - 32);
+    } else {
+      Append(v, width_);
+    }
+  }
+
+  /// Writes the last partial byte, zero-padded.
+  void Finish() {
+    if (pending_ > 0) out_->push_back(static_cast<char>(acc_));
+    acc_ = 0;
+    pending_ = 0;
+  }
+
+ private:
+  void Append(uint64_t v, int w) {
+    acc_ |= v << pending_;
+    pending_ += w;
+    while (pending_ >= 8) {
+      out_->push_back(static_cast<char>(acc_ & 0xff));
+      acc_ >>= 8;
+      pending_ -= 8;
+    }
+  }
+
+  std::string* out_;
+  int width_;
+  uint64_t acc_ = 0;
+  int pending_ = 0;
+};
+
+// Field `i` of a packed stream, read one byte at a time: the reference the
+// word-load path in UnpackFields must match. Touches only the bytes that
+// hold the field's bits.
+uint64_t PackedFieldScalar(const uint8_t* p, size_t i, int w) {
+  if (w == 0) return 0;
+  const uint64_t bit = static_cast<uint64_t>(i) * static_cast<uint64_t>(w);
+  size_t byte = static_cast<size_t>(bit >> 3);
+  int shift = static_cast<int>(bit & 7);
+  uint64_t v = 0;
+  int got = 0;
+  while (got < w) {
+    v |= static_cast<uint64_t>(p[byte++] >> shift) << got;
+    got += 8 - shift;
+    shift = 0;
+  }
+  return w == 64 ? v : v & ((uint64_t{1} << w) - 1);
+}
+
+// Calls sink(i, field_i) for every field of a stream whose size was
+// already checked with PackedSizeIs. The vectorized path reads each field
+// of 1 to 56 bits with one unaligned 8-byte load (its bit offset within
+// the first byte is at most 7, so shift + w <= 63); fields whose load would
+// run past the stream, and 0- or wider fields, take the byte-wise reference.
+template <typename Sink>
+void UnpackFields(std::string_view packed, size_t n, int w, const Sink& sink) {
+  const auto* p = reinterpret_cast<const uint8_t*>(packed.data());
+  size_t i = 0;
+  if (simd::VectorEnabled() && w > 0 && w <= 56) {
+    // Field i's load stays in bounds while (i * w) / 8 + 8 <= size.
+    size_t fast = 0;
+    if (packed.size() >= 8) {
+      fast = std::min(n, ((packed.size() - 8) * 8 + 7) /
+                                 static_cast<size_t>(w) +
+                             1);
+    }
+    const uint64_t mask = (uint64_t{1} << w) - 1;
+    for (; i < fast; ++i) {
+      const uint64_t bit = static_cast<uint64_t>(i) * static_cast<uint64_t>(w);
+      uint64_t word;
+      std::memcpy(&word, p + (bit >> 3), sizeof(word));
+      sink(i, (word >> (bit & 7)) & mask);
+    }
+  }
+  for (; i < n; ++i) sink(i, PackedFieldScalar(p, i, w));
+}
+
+// Vectorized decode paths, besides UnpackFields above. They read exactly the
+// format the encoders below write, only faster. Both return the
 // exact bytes and the exact Status the scalar loops in DecodeInt64 produce —
 // corruption and truncation are detected at the same points with the same
 // messages — pinned by the codec fuzz cases in tests/kernels_test.cc.
@@ -177,6 +287,25 @@ void EncodeInt64(const std::vector<int64_t>& values, Encoding enc,
       }
       return;
     }
+    case Encoding::kFrameOfReference: {
+      // Offsets from the minimum, in wrapping uint64 arithmetic: the full
+      // INT64_MIN..INT64_MAX range needs all 64 bits and still round-trips.
+      uint64_t base = 0;
+      uint64_t range = 0;
+      if (!values.empty()) {
+        const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+        base = static_cast<uint64_t>(*lo);
+        range = static_cast<uint64_t>(*hi) - base;
+      }
+      const int width = BitWidth(range);
+      AppendRaw(out, static_cast<int64_t>(base));
+      out->push_back(static_cast<char>(width));
+      out->reserve(out->size() + PackedBytes(values.size(), width));
+      BitWriter writer(out, width);
+      for (int64_t v : values) writer.Put(static_cast<uint64_t>(v) - base);
+      writer.Finish();
+      return;
+    }
     case Encoding::kDictionary:
       OREO_CHECK(false) << "kDictionary is not an int64 encoding";
   }
@@ -185,7 +314,6 @@ void EncodeInt64(const std::vector<int64_t>& values, Encoding enc,
 Status DecodeInt64(std::string_view data, Encoding enc, size_t n,
                    std::vector<int64_t>* out) {
   out->clear();
-  out->reserve(n);
   switch (enc) {
     case Encoding::kPlain: {
       if (data.size() != n * sizeof(int64_t)) {
@@ -196,6 +324,7 @@ Status DecodeInt64(std::string_view data, Encoding enc, size_t n,
       return Status::OK();
     }
     case Encoding::kRle: {
+      out->reserve(n);
       if (simd::VectorEnabled()) return DecodeRleFast(data, n, out);
       size_t pos = 0;
       while (out->size() < n) {
@@ -215,6 +344,7 @@ Status DecodeInt64(std::string_view data, Encoding enc, size_t n,
       return Status::OK();
     }
     case Encoding::kDeltaVarint: {
+      out->reserve(n);
       if (simd::VectorEnabled()) return DecodeDeltaVarintFast(data, n, out);
       size_t pos = 0;
       uint64_t prev = 0;  // wrapping accumulator, mirrors the encoder
@@ -231,26 +361,76 @@ Status DecodeInt64(std::string_view data, Encoding enc, size_t n,
       }
       return Status::OK();
     }
+    case Encoding::kFrameOfReference: {
+      size_t pos = 0;
+      int64_t base;
+      if (!ReadRaw(data, &pos, &base) || pos >= data.size()) {
+        return Status::Corruption("truncated frame-of-reference header");
+      }
+      const int width = static_cast<uint8_t>(data[pos++]);
+      if (width > 64) {
+        return Status::Corruption("frame-of-reference width out of range");
+      }
+      const std::string_view packed = data.substr(pos);
+      if (!PackedSizeIs(n, width, packed.size())) {
+        return Status::Corruption("frame-of-reference chunk size mismatch");
+      }
+      out->resize(n);
+      int64_t* dst = out->data();
+      const uint64_t ubase = static_cast<uint64_t>(base);
+      UnpackFields(packed, n, width, [dst, ubase](size_t i, uint64_t off) {
+        dst[i] = static_cast<int64_t>(ubase + off);
+      });
+      return Status::OK();
+    }
     case Encoding::kDictionary:
       return Status::InvalidArgument("kDictionary is not an int64 encoding");
   }
-  return Status::Internal("unreachable");
+  return Status::Corruption("unknown int64 encoding");
 }
 
 Encoding ChooseInt64Encoding(const std::vector<int64_t>& values) {
   if (values.empty()) return Encoding::kPlain;
+  const size_t n = values.size();
   size_t runs = 1;
   bool sorted = true;
-  for (size_t i = 1; i < values.size(); ++i) {
+  int64_t lo = values[0];
+  int64_t hi = values[0];
+  for (size_t i = 1; i < n; ++i) {
     if (values[i] != values[i - 1]) ++runs;
     if (values[i] < values[i - 1]) sorted = false;
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
   }
-  // Few runs -> RLE wins decisively.
-  if (runs * 16 <= values.size()) return Encoding::kRle;
-  // Sorted (the common case after layout assignment on the sort column) ->
-  // small deltas, varint wins.
-  if (sorted) return Encoding::kDeltaVarint;
-  return Encoding::kPlain;
+  // Few runs -> RLE wins decisively. Sorted (the common case after layout
+  // assignment on the sort column) -> small deltas, varint wins. Otherwise
+  // plain. Each is sized exactly, as EncodeInt64 would write it.
+  Encoding pick = Encoding::kPlain;
+  size_t pick_bytes = n * sizeof(int64_t);
+  if (runs * 16 <= n) {
+    pick = Encoding::kRle;
+    pick_bytes = 0;
+    for (size_t i = 0; i < n;) {
+      size_t j = i;
+      while (j < n && values[j] == values[i]) ++j;
+      pick_bytes += VarintLength(j - i) + VarintLength(ZigZagEncode(values[i]));
+      i = j;
+    }
+  } else if (sorted) {
+    pick = Encoding::kDeltaVarint;
+    pick_bytes = 0;
+    uint64_t prev = 0;
+    for (int64_t v : values) {
+      pick_bytes += VarintLength(ZigZagEncode(
+          static_cast<int64_t>(static_cast<uint64_t>(v) - prev)));
+      prev = static_cast<uint64_t>(v);
+    }
+  }
+  // Frame of reference: i64 base, width byte, packed offsets.
+  const int width =
+      BitWidth(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
+  const size_t for_bytes = sizeof(int64_t) + 1 + PackedBytes(n, width);
+  return for_bytes < pick_bytes ? Encoding::kFrameOfReference : pick;
 }
 
 void EncodeDouble(const std::vector<double>& values, std::string* out) {
@@ -268,14 +448,46 @@ Status DecodeDouble(std::string_view data, size_t n,
   return Status::OK();
 }
 
+namespace {
+
+// Per-thread scratch of the string encoder, indexed by the column's codes.
+// Between calls every slot is zero: a call clears only the slots it set, so
+// it costs O(rows + used entries) however large the column's dictionary is,
+// and the buffer grows once to the largest dictionary the thread has seen.
+thread_local std::vector<uint32_t> tls_block_code;  // column code -> block code + 1
+thread_local std::vector<uint32_t> tls_used;         // column codes, first use order
+thread_local std::vector<uint32_t> tls_renumbered;   // block code per row
+
+}  // namespace
+
 void EncodeStringDict(const std::vector<uint32_t>& codes,
                       const std::vector<std::string>& dict, std::string* out) {
-  PutVarint64(out, dict.size());
-  for (const std::string& s : dict) {
-    PutVarint64(out, s.size());
-    out->append(s);
+  std::vector<uint32_t>& block_code = tls_block_code;
+  std::vector<uint32_t>& used = tls_used;
+  std::vector<uint32_t>& renumbered = tls_renumbered;
+  if (block_code.size() < dict.size()) block_code.resize(dict.size(), 0);
+  used.clear();
+  renumbered.resize(codes.size());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    const uint32_t c = codes[i];
+    OREO_DCHECK(c < dict.size());
+    if (block_code[c] == 0) {
+      used.push_back(c);
+      block_code[c] = static_cast<uint32_t>(used.size());
+    }
+    renumbered[i] = block_code[c] - 1;
   }
-  for (uint32_t c : codes) AppendRaw(out, c);
+  PutVarint64(out, used.size());
+  for (uint32_t c : used) {
+    block_code[c] = 0;
+    PutVarint64(out, dict[c].size());
+    out->append(dict[c]);
+  }
+  const int width = CodeWidth(used.size());
+  out->reserve(out->size() + PackedBytes(codes.size(), width));
+  BitWriter writer(out, width);
+  for (uint32_t c : renumbered) writer.Put(c);
+  writer.Finish();
 }
 
 Status DecodeStringDict(std::string_view data, size_t n,
@@ -286,22 +498,32 @@ Status DecodeStringDict(std::string_view data, size_t n,
   if (!GetVarint64(data, &pos, &dict_size)) {
     return Status::Corruption("truncated dictionary header");
   }
+  // Every entry takes at least its length byte, which bounds the reserve.
+  if (dict_size > data.size() - pos) {
+    return Status::Corruption("truncated dictionary entry");
+  }
   dict->clear();
   dict->reserve(dict_size);
   for (uint64_t i = 0; i < dict_size; ++i) {
     uint64_t len;
-    if (!GetVarint64(data, &pos, &len) || pos + len > data.size()) {
+    if (!GetVarint64(data, &pos, &len) || len > data.size() - pos) {
       return Status::Corruption("truncated dictionary entry");
     }
     dict->emplace_back(data.substr(pos, len));
     pos += len;
   }
-  codes->clear();
-  codes->resize(n);
-  if (pos + n * sizeof(uint32_t) != data.size()) {
+  const int width = CodeWidth(dict_size);
+  const std::string_view packed = data.substr(pos);
+  if (!PackedSizeIs(n, width, packed.size())) {
     return Status::Corruption("dictionary code array size mismatch");
   }
-  if (n > 0) std::memcpy(codes->data(), data.data() + pos, n * sizeof(uint32_t));
+  codes->resize(n);
+  uint32_t* dst = codes->data();
+  UnpackFields(packed, n, width, [dst](size_t i, uint64_t c) {
+    dst[i] = static_cast<uint32_t>(c);
+  });
+  // A w-bit code can still name a missing entry when the dictionary size is
+  // not a power of two (or is zero).
   if (simd::VectorEnabled()) {
     // Branchless max-scan (auto-vectorizes), one range check at the end —
     // same verdict as the early-exit reference loop below.

@@ -1,7 +1,18 @@
-// Lightweight column encodings for the on-disk block format: plain, RLE,
-// zigzag delta-varint (for sorted/clustered integers), and dictionary (for
-// strings). Reorganization cost in the paper includes compressing and writing
-// partitions; these codecs make that work real in the physical benchmarks.
+// Lightweight column encodings for the on-disk block format. Reorganization
+// cost in the paper includes compressing and writing partitions; these codecs
+// make that work real in the physical benchmarks.
+//
+//   int64:  plain, RLE, zigzag delta-varint (sorted/clustered columns), or
+//           frame-of-reference: a base plus w-bit packed offsets, w in 0..64.
+//   double: plain.
+//   string: a per-block dictionary of only the entries the rows use, in
+//           order of first appearance, plus codes bit-packed at
+//           ceil(log2(used)) bits (0 bits when one value is used).
+//
+// Packed fields are a little-endian bit stream: field i occupies bits
+// [i*w, (i+1)*w), least significant bit first, padded to a whole byte.
+// First-appearance order makes a string chunk a function of the row values
+// alone, whatever dictionary the in-memory column holds.
 #ifndef OREO_STORAGE_CODEC_H_
 #define OREO_STORAGE_CODEC_H_
 
@@ -19,7 +30,8 @@ enum class Encoding : uint8_t {
   kPlain = 0,        ///< raw little-endian values
   kRle = 1,          ///< (varint run length, zigzag varint value) pairs
   kDeltaVarint = 2,  ///< first value raw, then zigzag varint deltas
-  kDictionary = 3,   ///< length-prefixed dictionary + plain u32 codes
+  kDictionary = 3,   ///< used-only dictionary + bit-packed codes
+  kFrameOfReference = 4,  ///< i64 base, u8 width w, w-bit packed offsets
 };
 
 const char* EncodingName(Encoding e);
@@ -34,14 +46,15 @@ int64_t ZigZagDecode(uint64_t v);
 
 // --- int64 columns ---
 
-/// Encodes `values` using `enc` (kPlain, kRle or kDeltaVarint).
+/// Encodes `values` using `enc` (kPlain, kRle, kDeltaVarint or
+/// kFrameOfReference).
 void EncodeInt64(const std::vector<int64_t>& values, Encoding enc,
                  std::string* out);
 /// Decodes exactly `n` values; fails with Corruption on malformed input.
 Status DecodeInt64(std::string_view data, Encoding enc, size_t n,
                    std::vector<int64_t>* out);
-/// Picks the smallest encoding among plain/RLE/delta for the given data
-/// using cheap heuristics (run count, sortedness).
+/// Picks plain, RLE or delta by cheap heuristics (run count, sortedness),
+/// then frame-of-reference instead when its exact size is strictly smaller.
 Encoding ChooseInt64Encoding(const std::vector<int64_t>& values);
 
 // --- double columns (plain only) ---
@@ -52,8 +65,12 @@ Status DecodeDouble(std::string_view data, size_t n,
 
 // --- string columns (dictionary) ---
 
+/// Writes the entries of `dict` that `codes` use, in order of first
+/// appearance, and the codes renumbered into that dictionary. Costs
+/// O(codes + used entries), not O(dict).
 void EncodeStringDict(const std::vector<uint32_t>& codes,
                       const std::vector<std::string>& dict, std::string* out);
+/// Decodes `n` codes and the chunk's own (used-only) dictionary.
 Status DecodeStringDict(std::string_view data, size_t n,
                         std::vector<uint32_t>* codes,
                         std::vector<std::string>* dict);

@@ -1,5 +1,7 @@
 #include "storage/column.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace oreo {
@@ -87,6 +89,9 @@ double Column::GetNumeric(size_t row) const {
 }
 
 uint32_t Column::CodeFor(const std::string& s) {
+  if (dict_index_.empty()) {
+    for (uint32_t i = 0; i < dict_.size(); ++i) dict_index_.emplace(dict_[i], i);
+  }
   auto it = dict_index_.find(s);
   if (it != dict_index_.end()) return it->second;
   uint32_t code = static_cast<uint32_t>(dict_.size());
@@ -96,8 +101,8 @@ uint32_t Column::CodeFor(const std::string& s) {
 }
 
 int64_t Column::FindCode(const std::string& s) const {
-  auto it = dict_index_.find(s);
-  return it == dict_index_.end() ? -1 : static_cast<int64_t>(it->second);
+  auto it = std::find(dict_.begin(), dict_.end(), s);
+  return it == dict_.end() ? -1 : static_cast<int64_t>(it - dict_.begin());
 }
 
 Column Column::Take(const std::vector<uint32_t>& row_ids) const {
@@ -111,14 +116,36 @@ Column Column::Take(const std::vector<uint32_t>& row_ids) const {
       for (uint32_t r : row_ids) out.doubles_.push_back(doubles_[r]);
       break;
     case DataType::kString:
-      // Share the full dictionary: simpler and correct; unreferenced entries
-      // are harmless for query evaluation.
+      // Keep the full dictionary: unreferenced entries are harmless for
+      // query evaluation, and the block writer drops them.
       out.dict_ = dict_;
-      out.dict_index_ = dict_index_;
       for (uint32_t r : row_ids) out.codes_.push_back(codes_[r]);
       break;
   }
   return out;
+}
+
+void Column::Append(const Column& other) {
+  OREO_CHECK(other.type_ == type_) << "Append type mismatch";
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.insert(ints_.end(), other.ints_.begin(), other.ints_.end());
+      break;
+    case DataType::kDouble:
+      doubles_.insert(doubles_.end(), other.doubles_.begin(),
+                      other.doubles_.end());
+      break;
+    case DataType::kString: {
+      constexpr uint32_t kUnmapped = UINT32_MAX;
+      std::vector<uint32_t> remap(other.dict_.size(), kUnmapped);
+      codes_.reserve(codes_.size() + other.codes_.size());
+      for (uint32_t c : other.codes_) {
+        if (remap[c] == kUnmapped) remap[c] = CodeFor(other.dict_[c]);
+        codes_.push_back(remap[c]);
+      }
+      break;
+    }
+  }
 }
 
 void Column::SetStringData(std::vector<uint32_t> codes,
@@ -127,7 +154,6 @@ void Column::SetStringData(std::vector<uint32_t> codes,
   codes_ = std::move(codes);
   dict_ = std::move(dict);
   dict_index_.clear();
-  for (uint32_t i = 0; i < dict_.size(); ++i) dict_index_.emplace(dict_[i], i);
 }
 
 }  // namespace oreo

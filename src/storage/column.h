@@ -45,14 +45,17 @@ class Column {
 
   /// Dictionary of a string column (code -> string).
   const std::vector<std::string>& dictionary() const { return dict_; }
-  /// Code for `s`, inserting into the dictionary if absent.
-  uint32_t CodeFor(const std::string& s);
-  /// Code for `s` or -1 if the dictionary does not contain it.
+  /// Code for `s` or -1 if the dictionary does not contain it (linear scan).
   int64_t FindCode(const std::string& s) const;
 
   /// Builds a column containing rows at `row_ids` in order.
-  /// String columns share the dictionary content (codes re-mapped as needed).
+  /// String columns copy the dictionary and keep their codes.
   Column Take(const std::vector<uint32_t>& row_ids) const;
+
+  /// Appends every row of `other` (same type). Strings are re-encoded into
+  /// this dictionary once per distinct source code, in row order, so new
+  /// entries land in the order a row-by-row AppendString would add them.
+  void Append(const Column& other);
 
   // Raw access used by the block writer / codecs.
   const std::vector<int64_t>& ints() const { return ints_; }
@@ -60,16 +63,22 @@ class Column {
   const std::vector<uint32_t>& codes() const { return codes_; }
   std::vector<int64_t>* mutable_ints() { return &ints_; }
   std::vector<double>* mutable_doubles() { return &doubles_; }
-  /// Installs a decoded string column (block reader path).
+  /// Installs a decoded string column (block reader path). Builds no
+  /// string -> code index; the first AppendString builds it.
   void SetStringData(std::vector<uint32_t> codes,
                      std::vector<std::string> dict);
 
  private:
+  /// Code for `s`, inserting into the dictionary if absent. Builds the
+  /// index over the whole dictionary on first use.
+  uint32_t CodeFor(const std::string& s);
+
   DataType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
   std::vector<uint32_t> codes_;
   std::vector<std::string> dict_;
+  /// string -> code over dict_, or empty until CodeFor first needs it.
   std::unordered_map<std::string, uint32_t> dict_index_;
 };
 

@@ -47,25 +47,7 @@ Table Table::Take(const std::vector<uint32_t>& row_ids) const {
 void Table::Append(const Table& other) {
   OREO_CHECK(schema_.Equals(other.schema())) << "schema mismatch in Append";
   for (size_t c = 0; c < columns_.size(); ++c) {
-    Column& dst = columns_[c];
-    const Column& src = other.columns_[c];
-    switch (dst.type()) {
-      case DataType::kInt64:
-        dst.mutable_ints()->insert(dst.mutable_ints()->end(),
-                                   src.ints().begin(), src.ints().end());
-        break;
-      case DataType::kDouble:
-        dst.mutable_doubles()->insert(dst.mutable_doubles()->end(),
-                                      src.doubles().begin(),
-                                      src.doubles().end());
-        break;
-      case DataType::kString:
-        // Re-encode through the destination dictionary.
-        for (size_t r = 0; r < src.size(); ++r) {
-          dst.AppendString(src.GetString(r));
-        }
-        break;
-    }
+    columns_[c].Append(other.columns_[c]);
   }
   num_rows_ += other.num_rows();
 }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "storage/block.h"
 #include "test_util.h"
@@ -179,6 +182,67 @@ TEST(BlockTest, CompressionKicksInForSortedColumns) {
   Table t(Schema({{"ts", DataType::kInt64}}));
   for (int64_t i = 0; i < 10000; ++i) t.AppendRow({Value(i)});
   EXPECT_LT(SerializedBlockSize(t), 10000u * 4);
+}
+
+// Only version 2 is readable: a block whose header says 1 (with a valid
+// checksum) is refused, not misread.
+TEST(BlockTest, VersionOneHeaderIsRejected) {
+  Table t = MakeTable(20, 13);
+  std::string data = SerializeBlock(t);
+  const uint32_t v1 = 1;
+  std::memcpy(&data[8], &v1, sizeof(v1));  // after the 8-byte magic
+  const uint32_t crc = Crc32c(data.data(), data.size() - sizeof(uint32_t));
+  std::memcpy(&data[data.size() - sizeof(uint32_t)], &crc, sizeof(crc));
+  Result<Table> out = DeserializeBlock(data);
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(out.status().message(), "unsupported block version");
+}
+
+// A block carries only the dictionary entries its rows use: rows taken from
+// a table with a large dictionary write the same bytes as the same rows
+// appended to a fresh table, and decode with a dictionary of the used
+// entries only.
+TEST(BlockTest, StringBlocksCarryOnlyTheUsedEntries) {
+  Table wide(Schema({{"s", DataType::kString}}));
+  for (int i = 0; i < 1000; ++i) wide.AppendRow({Value("tag" + std::to_string(i))});
+  const std::vector<uint32_t> rows = {907, 3, 907, 512, 3, 3};
+  Table taken = wide.Take(rows);
+  Table fresh(Schema({{"s", DataType::kString}}));
+  for (uint32_t r : rows) fresh.AppendRow({Value("tag" + std::to_string(r))});
+  EXPECT_EQ(SerializeBlock(taken), SerializeBlock(fresh));
+  Result<Table> out = DeserializeBlock(SerializeBlock(taken));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ExpectTablesEqual(taken, *out);
+  EXPECT_EQ(out->column(0).dictionary(),
+            (std::vector<std::string>{"tag907", "tag3", "tag512"}));
+}
+
+// A decoded string column builds no lookup index up front; appending to it
+// still reuses the codes of values it already holds.
+TEST(BlockTest, DecodedStringColumnsAcceptAppends) {
+  Table t = MakeTable(40, 14);
+  Result<Table> out = DeserializeBlock(SerializeBlock(t));
+  ASSERT_TRUE(out.ok());
+  Column* tag = out->mutable_column(3);
+  const size_t entries = tag->dictionary().size();
+  tag->AppendString(t.column(3).GetString(0));
+  EXPECT_EQ(tag->dictionary().size(), entries);
+  EXPECT_EQ(tag->GetString(40), t.column(3).GetString(0));
+  tag->AppendString("not-a-tag");
+  EXPECT_EQ(tag->dictionary().size(), entries + 1);
+  EXPECT_EQ(tag->GetString(41), "not-a-tag");
+}
+
+TEST(BlockTest, ExtremeIntsRoundTrip) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  Table t(Schema({{"full", DataType::kInt64}, {"bit", DataType::kInt64}}));
+  for (int64_t v : {kMax, kMin, int64_t{0}, kMin, kMax, int64_t{-1}}) {
+    t.AppendRow({Value(v), Value(kMin + (v & 1))});
+  }
+  Result<Table> out = DeserializeBlock(SerializeBlock(t));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ExpectTablesEqual(t, *out);
 }
 
 }  // namespace

@@ -333,7 +333,8 @@ std::vector<int64_t> BoundaryBitwidthValues(uint64_t seed) {
 }
 
 TEST(CodecKernelTest, RoundTripBothModesAtBoundaryBitwidths) {
-  for (Encoding enc : {Encoding::kRle, Encoding::kDeltaVarint, Encoding::kPlain}) {
+  for (Encoding enc : {Encoding::kRle, Encoding::kDeltaVarint, Encoding::kPlain,
+                       Encoding::kFrameOfReference}) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       std::vector<int64_t> vals = BoundaryBitwidthValues(seed);
       if (enc == Encoding::kRle) {
@@ -412,11 +413,10 @@ TEST(CodecKernelTest, StringDictValidationIdenticalAcrossModes) {
   std::vector<uint32_t> codes = {0, 1, 2, 1, 0, 2, 2};
   std::string buf;
   EncodeStringDict(codes, dict, &buf);
-  // Corrupt one code to an out-of-range value (codes are the trailing raw
-  // uint32 array).
+  // Three used entries pack at 2 bits: seven codes are the last two bytes.
+  // Setting the last code's field to 3 names no entry.
   std::string bad = buf;
-  uint32_t evil = 17;
-  std::memcpy(&bad[bad.size() - sizeof(uint32_t)], &evil, sizeof(evil));
+  bad.back() = static_cast<char>(bad.back() | 0x30);
   for (const std::string& input : {buf, bad}) {
     Status scalar_st, vector_st;
     std::vector<uint32_t> c1, c2;
@@ -429,10 +429,133 @@ TEST(CodecKernelTest, StringDictValidationIdenticalAcrossModes) {
       ScopedKernelMode mode(simd::KernelMode::kVector);
       vector_st = DecodeStringDict(input, codes.size(), &c2, &d2);
     }
-    EXPECT_EQ(scalar_st.ok(), vector_st.ok());
+    EXPECT_EQ(scalar_st.ToString(), vector_st.ToString());
+    EXPECT_EQ(scalar_st.ok(), input == buf);
     if (scalar_st.ok()) {
       EXPECT_EQ(c1, c2);
       EXPECT_EQ(d1, d2);
+    }
+  }
+}
+
+// Packed fields at every width 0..64, at row counts around the 8-byte load
+// boundary of the word-load path: both modes decode the same values.
+TEST(CodecKernelTest, PackedFieldsIdenticalAcrossModesAtEveryWidth) {
+  Rng rng(4242);
+  for (int width = 0; width <= 64; ++width) {
+    const uint64_t range =
+        width == 64 ? ~uint64_t{0}
+                    : (width == 0 ? 0 : (uint64_t{1} << width) - 1);
+    for (size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{63},
+                     size_t{64}, size_t{65}, size_t{200}}) {
+      // A base low enough that base + range does not pass INT64_MAX.
+      const uint64_t slack = ~uint64_t{0} - range;
+      const int64_t base = static_cast<int64_t>(
+          static_cast<uint64_t>(kI64Min) +
+          (slack == ~uint64_t{0} ? rng() : rng() % (slack + 1)));
+      std::vector<int64_t> vals;
+      for (size_t i = 0; i < n; ++i) {
+        // Row 0 at the base and row 1 at the top pin the width.
+        const uint64_t off =
+            i == 0 ? 0 : (i == 1 || range == 0 ? range : rng() % range);
+        vals.push_back(static_cast<int64_t>(static_cast<uint64_t>(base) + off));
+      }
+      std::string buf;
+      EncodeInt64(vals, Encoding::kFrameOfReference, &buf);
+      ASSERT_EQ(static_cast<uint8_t>(buf[8]), n > 1 ? width : 0);
+      std::vector<int64_t> scalar_out, vector_out;
+      {
+        ScopedKernelMode mode(simd::KernelMode::kScalar);
+        ASSERT_TRUE(
+            DecodeInt64(buf, Encoding::kFrameOfReference, n, &scalar_out).ok());
+      }
+      {
+        ScopedKernelMode mode(simd::KernelMode::kVector);
+        ASSERT_TRUE(
+            DecodeInt64(buf, Encoding::kFrameOfReference, n, &vector_out).ok());
+      }
+      EXPECT_EQ(scalar_out, vals) << "width=" << width << " n=" << n;
+      EXPECT_EQ(vector_out, vals) << "width=" << width << " n=" << n;
+    }
+  }
+}
+
+// Fuzz over the packed encodings (frame-of-reference ints and used-only
+// dictionaries): encode, then flip a byte, truncate, or append garbage.
+// Both modes must return the same Status, message included, and identical
+// bytes whenever they succeed.
+TEST(CodecKernelTest, PackedCorruptionVerdictsIdenticalAcrossModes) {
+  Rng rng(9001);
+  auto mutate = [&rng](std::string buf, int* kind) {
+    *kind = static_cast<int>(rng.Uniform(4));
+    if (*kind == 0 && !buf.empty()) {
+      buf[rng.Uniform(buf.size())] ^= static_cast<char>(1 + rng.Uniform(255));
+    } else if (*kind == 1 && !buf.empty()) {
+      buf.resize(rng.Uniform(buf.size()));
+    } else if (*kind == 2) {
+      buf.push_back(static_cast<char>(rng.Uniform(256)));
+    }  // kind 3: untouched
+    return buf;
+  };
+  for (int iter = 0; iter < 600; ++iter) {
+    const size_t n = rng.Uniform(80);
+    int kind = 0;
+    if (iter % 2 == 0) {
+      const int64_t spread = int64_t{1} << rng.Uniform(40);
+      std::vector<int64_t> vals;
+      for (size_t i = 0; i < n; ++i) vals.push_back(rng.UniformInt(0, spread));
+      std::string buf;
+      EncodeInt64(vals, Encoding::kFrameOfReference, &buf);
+      const std::string input = mutate(buf, &kind);
+      std::vector<int64_t> scalar_out, vector_out;
+      Status scalar_st, vector_st;
+      {
+        ScopedKernelMode mode(simd::KernelMode::kScalar);
+        scalar_st =
+            DecodeInt64(input, Encoding::kFrameOfReference, n, &scalar_out);
+      }
+      {
+        ScopedKernelMode mode(simd::KernelMode::kVector);
+        vector_st =
+            DecodeInt64(input, Encoding::kFrameOfReference, n, &vector_out);
+      }
+      EXPECT_EQ(scalar_st.ToString(), vector_st.ToString()) << "kind=" << kind;
+      if (kind == 3) {
+        EXPECT_EQ(scalar_out, vals);
+      }
+      if (scalar_st.ok() && vector_st.ok()) {
+        EXPECT_EQ(scalar_out, vector_out);
+      }
+    } else {
+      std::vector<std::string> dict;
+      const size_t entries = 1 + rng.Uniform(20);
+      for (size_t e = 0; e < entries; ++e) dict.push_back("s" + std::to_string(e));
+      std::vector<uint32_t> codes;
+      for (size_t i = 0; i < n; ++i) {
+        codes.push_back(static_cast<uint32_t>(rng.Uniform(entries)));
+      }
+      std::string buf;
+      EncodeStringDict(codes, dict, &buf);
+      const std::string input = mutate(buf, &kind);
+      std::vector<uint32_t> c1, c2;
+      std::vector<std::string> d1, d2;
+      Status scalar_st, vector_st;
+      {
+        ScopedKernelMode mode(simd::KernelMode::kScalar);
+        scalar_st = DecodeStringDict(input, n, &c1, &d1);
+      }
+      {
+        ScopedKernelMode mode(simd::KernelMode::kVector);
+        vector_st = DecodeStringDict(input, n, &c2, &d2);
+      }
+      EXPECT_EQ(scalar_st.ToString(), vector_st.ToString()) << "kind=" << kind;
+      if (kind == 3) {
+        EXPECT_TRUE(scalar_st.ok());
+      }
+      if (scalar_st.ok() && vector_st.ok()) {
+        EXPECT_EQ(c1, c2);
+        EXPECT_EQ(d1, d2);
+      }
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "core/simulator.h"
 #include "core/strategy.h"
 #include "layout/sorted_layout.h"
+#include "layout/zorder_layout.h"
 #include "test_util.h"
 
 namespace oreo {
@@ -266,6 +267,55 @@ TEST(PhysicalStoreTest, ReorganizeWritesTheFilesAFreshMaterializeWrites) {
               testutil::PartitionCrcs(fresh))
         << "reorganizing " << from->name() << " -> " << to->name()
         << " left files in non-canonical row order";
+  }
+}
+
+// A reorganization routes every row by its base row id, never by running the
+// target layout over decoded blocks: a block's string codes number its own
+// used-only dictionary, not the table's, so a layout keyed on a string
+// column's code would send rows to the wrong partition.
+TEST(PhysicalStoreTest, ReorganizeToStringKeyedLayoutsWritesTheFreshFiles) {
+  Table t = MakeTable(3000, 8);
+  LayoutInstance by_qty = SortedInstance(t, 1, 8, "by_qty");
+  // Ranges over the table's dictionary codes of `cat` (four categories).
+  LayoutInstance by_cat = Materialize(
+      "by_cat",
+      std::make_shared<SortedLayout>(2, "cat",
+                                     std::vector<double>{0.5, 1.5, 2.5}),
+      t);
+  std::vector<Query> queries;
+  for (const char* cat : {"a", "c", "d"}) {
+    Query q;
+    q.conjuncts = {Predicate::Eq(2, Value(cat))};
+    queries.push_back(q);
+  }
+  for (int64_t lo : {100, 600}) {
+    Query q;
+    q.conjuncts = {Predicate::Lt(2, Value("c")),
+                   Predicate::Between(1, Value(lo), Value(lo + 250))};
+    queries.push_back(q);
+  }
+  // Most-queried columns first: `cat` is the Z-order's leading dimension.
+  LayoutInstance zorder = Materialize(
+      "zorder_cat",
+      std::shared_ptr<const Layout>(
+          ZOrderGenerator(/*num_columns=*/2).Generate(t, queries, 8)),
+      t);
+  for (const LayoutInstance* to : {&by_cat, &zorder}) {
+    PhysicalStore reorganized(TempDir("reorg_str_" + to->name()),
+                              /*num_threads=*/4);
+    ASSERT_TRUE(reorganized.MaterializeLayout(t, by_qty).ok());
+    ASSERT_TRUE(reorganized.Reorganize(t, *to).ok());
+    PhysicalStore fresh(TempDir("fresh_str_" + to->name()));
+    ASSERT_TRUE(fresh.MaterializeLayout(t, *to).ok());
+    EXPECT_EQ(testutil::PartitionCrcs(reorganized),
+              testutil::PartitionCrcs(fresh))
+        << to->name();
+    for (const Query& q : queries) {
+      auto exec = reorganized.ExecuteQuery(q);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      EXPECT_EQ(exec->matches, CountMatches(t, q)) << to->name();
+    }
   }
 }
 

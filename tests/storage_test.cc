@@ -152,6 +152,27 @@ TEST(TableTest, AppendRemapsStringDictionaries) {
   EXPECT_EQ(a.column(0).GetCode(0), a.column(0).GetCode(2));
 }
 
+// Append re-encodes once per distinct source code, in row order: the
+// destination ends with the dictionary a row-by-row AppendString builds,
+// and unused source entries never enter it.
+TEST(TableTest, AppendAddsEntriesInTheOrderRowByRowAppendsWould) {
+  Table dst(Schema({{"s", DataType::kString}}));
+  dst.AppendRow({Value("b")});
+  Table wide(Schema({{"s", DataType::kString}}));
+  for (const char* v : {"unused", "c", "b", "a", "also-unused"}) {
+    wide.AppendRow({Value(v)});
+  }
+  Table src = wide.Take({3, 1, 3, 2, 1});  // a c a b c
+  Column reference(DataType::kString);
+  reference.AppendString("b");
+  for (uint32_t r = 0; r < src.num_rows(); ++r) {
+    reference.AppendString(src.column(0).GetString(r));
+  }
+  dst.Append(src);
+  EXPECT_EQ(dst.column(0).dictionary(), reference.dictionary());
+  EXPECT_EQ(dst.column(0).codes(), reference.codes());
+}
+
 TEST(TableTest, AppendEmptyIsNoop) {
   Table a = SmallTable();
   Table b(TestSchema());
