@@ -22,12 +22,17 @@
 //                     (20k-row table, 2000-row sample, one tree per W = 200
 //                     query window, 32 partitions), in trees; the scalar and
 //                     dispatched trees are checked equal node for node
+//   qdtree_materialize  Assign plus BuildPartitioning of each of those
+//                     trees over the 20k-row table, in trees; the scalar and
+//                     dispatched row lists and zone maps are checked equal
+//                     field for field
 //
 // Flags: --rows=N (default 10M) --probes=N --reps=N --seed=N
 //        --out=path.json (default: BENCH_kernels.json in the working
 //        directory; --out= empty disables the file)
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -43,6 +48,7 @@
 #include "layout/qdtree_layout.h"
 #include "query/kernels.h"
 #include "storage/codec.h"
+#include "storage/partitioning.h"
 #include "workloads/dataset.h"
 #include "workloads/workload_gen.h"
 
@@ -94,6 +100,27 @@ std::string TreeFingerprint(const Layout& layout) {
   for (const QdTreeNode& n : tree->nodes()) {
     out << (n.is_leaf() ? std::string("leaf") : n.cut.ToString()) << ' '
         << n.left << ' ' << n.right << ' ' << n.partition_id << '\n';
+  }
+  return out.str();
+}
+
+// Every partition's row ids and every zone field (doubles by bit pattern)
+// as one string.
+std::string PartitioningFingerprint(const Partitioning& p) {
+  std::ostringstream out;
+  for (size_t i = 0; i < p.num_partitions(); ++i) {
+    for (uint32_t r : p.partitions[i]) out << r << ' ';
+    out << '|' << p.zones[i].num_rows;
+    for (const ColumnZone& z : p.zones[i].columns) {
+      uint64_t lo = 0, hi = 0;
+      std::memcpy(&lo, &z.dbl_min, sizeof(lo));
+      std::memcpy(&hi, &z.dbl_max, sizeof(hi));
+      out << ' ' << z.empty << z.int_min << ',' << z.int_max << ',' << lo
+          << ',' << hi << ',' << z.str_min << ',' << z.str_max << ','
+          << z.distinct_overflow;
+      for (const std::string& v : z.distinct) out << ',' << v;
+    }
+    out << '\n';
   }
   return out.str();
 }
@@ -334,6 +361,35 @@ int Main(int argc, char** argv) {
       return static_cast<uint64_t>(Crc32c(all.data(), all.size()));
     });
     results.push_back(r);
+
+    // ---- Materializing those trees over the whole table ------------------
+    std::vector<std::unique_ptr<Layout>> layouts;
+    for (const std::vector<Query>& window : windows) {
+      layouts.push_back(gen.Generate(sample, window, 32));
+    }
+    auto materialize = [&] {
+      std::string all;
+      for (const std::unique_ptr<Layout>& layout : layouts) {
+        const std::vector<uint32_t> assignment = layout->Assign(ds.table);
+        all += PartitioningFingerprint(BuildPartitioning(
+            ds.table, assignment, layout->NumPartitionsUpperBound()));
+      }
+      return all;
+    };
+    simd::SetGlobalKernelMode(simd::KernelMode::kScalar);
+    const std::string scalar_parts = materialize();
+    simd::SetGlobalKernelMode(simd::KernelMode::kVector);
+    const std::string vector_parts = materialize();
+    simd::SetGlobalKernelMode(simd::KernelMode::kAuto);
+    OREO_CHECK(scalar_parts == vector_parts)
+        << "qdtree_materialize: kernel modes built different partitionings";
+    KernelResult m{"qdtree_materialize", "trees", 0, 0,
+                   static_cast<double>(kWindows), 0};
+    Measure(&m, reps, [&] {
+      const std::string all = materialize();
+      return static_cast<uint64_t>(Crc32c(all.data(), all.size()));
+    });
+    results.push_back(m);
   }
 
   for (const KernelResult& r : results) {

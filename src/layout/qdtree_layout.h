@@ -31,10 +31,9 @@ class QdTreeLayout : public Layout {
 
   std::string Describe() const override;
   uint32_t NumPartitionsUpperBound() const override { return num_leaves_; }
+  /// Splits ascending row-id lists down the tree, one cut bitmap over the
+  /// table per inner node; a row goes left iff it matches the cut.
   std::vector<uint32_t> Assign(const Table& table) const override;
-
-  /// Partition id for a single row.
-  uint32_t RouteRow(const Table& table, uint32_t row) const;
 
   const std::vector<QdTreeNode>& nodes() const { return nodes_; }
   uint32_t num_leaves() const { return num_leaves_; }
@@ -68,8 +67,11 @@ class QdTreeGenerator : public LayoutGenerator {
   QdTreeOptions options_;
 };
 
-/// Extracts deduplicated candidate cut predicates from workload filters
-/// (ranges contribute their boundary half-planes). Exposed for tests.
+/// Extracts candidate cut predicates from workload filters (ranges
+/// contribute their boundary half-planes), deduplicated on an exact key:
+/// column, operator and each operand's type and bytes, so cuts that differ
+/// in any bit stay apart. The `max_cuts` most frequent survive, ties in
+/// first-appearance order. Exposed for tests.
 std::vector<Predicate> HarvestCuts(const std::vector<Query>& workload,
                                    uint32_t max_cuts);
 

@@ -1,7 +1,5 @@
 #include "storage/partitioning.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace oreo {
@@ -10,21 +8,27 @@ Partitioning BuildPartitioning(const Table& table,
                                const std::vector<uint32_t>& assignment,
                                uint32_t num_partitions) {
   OREO_CHECK_EQ(assignment.size(), table.num_rows());
+  std::vector<uint32_t> sizes(num_partitions, 0);
+  for (uint32_t a : assignment) {
+    OREO_CHECK_LT(a, num_partitions);
+    ++sizes[a];
+  }
+  // Dense ids in partition-id order drop the empty partitions, which keeps
+  // the metadata compact.
+  std::vector<uint32_t> dense(num_partitions, 0);
   Partitioning out;
-  out.partitions.assign(num_partitions, {});
+  for (uint32_t p = 0; p < num_partitions; ++p) {
+    if (sizes[p] == 0) continue;
+    dense[p] = static_cast<uint32_t>(out.partitions.size());
+    out.partitions.emplace_back().reserve(sizes[p]);
+  }
+  std::vector<uint32_t> part_of_row(assignment.size());
   for (uint32_t r = 0; r < assignment.size(); ++r) {
-    OREO_CHECK_LT(assignment[r], num_partitions);
-    out.partitions[assignment[r]].push_back(r);
+    const uint32_t p = dense[assignment[r]];
+    part_of_row[r] = p;
+    out.partitions[p].push_back(r);
   }
-  // Drop empty partitions to keep metadata compact.
-  out.partitions.erase(
-      std::remove_if(out.partitions.begin(), out.partitions.end(),
-                     [](const std::vector<uint32_t>& p) { return p.empty(); }),
-      out.partitions.end());
-  out.zones.reserve(out.partitions.size());
-  for (const auto& rows : out.partitions) {
-    out.zones.push_back(BuildZoneMap(table, rows));
-  }
+  out.zones = BuildPartitionZoneMaps(table, part_of_row, out.partitions);
   out.total_rows = table.num_rows();
   return out;
 }

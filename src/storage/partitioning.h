@@ -24,7 +24,8 @@ struct Partitioning {
 
 /// Builds a Partitioning from per-row partition ids.
 /// `assignment[r]` is the partition id (contiguous, 0-based) of row r.
-/// Empty partitions are dropped.
+/// Empty partitions are dropped. Row lists are ascending and sized exactly;
+/// zones come from BuildPartitionZoneMaps, one pass per column.
 Partitioning BuildPartitioning(const Table& table,
                                const std::vector<uint32_t>& assignment,
                                uint32_t num_partitions);

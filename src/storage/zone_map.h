@@ -48,8 +48,8 @@ struct ZoneMap {
 };
 
 /// Builds a zone map covering the given rows of `table`, one column at a
-/// time. Every partitioning, live-ingest delta chunk and fold gets its zones
-/// here.
+/// time. Live-ingest delta chunks and folds get their zones here, and it is
+/// the reference BuildPartitionZoneMaps must equal.
 ///   - int64: one min/max pass over the column's flat array.
 ///   - double: one pass in `row_ids` order. std::min/std::max keep their
 ///     first argument for NaN and for -0.0 vs +0.0, so the order is part of
@@ -62,6 +62,17 @@ ZoneMap BuildZoneMap(const Table& table, const std::vector<uint32_t>& row_ids);
 
 /// Builds a zone map covering the entire table.
 ZoneMap BuildZoneMap(const Table& table);
+
+/// Builds the zone maps of k partitions in one pass per column, equal to
+/// BuildZoneMap(table, partitions[p]) for every p. `part_of_row[r]` is the
+/// partition of row r, and `partitions[p]` lists its rows ascending and is
+/// not empty. Numeric columns fold each row, in row order, into its
+/// partition's min/max, so every partition sees its values in row-id order.
+/// String columns mark (code, partition) pairs, then fold each partition's
+/// used entries with the row-list builder's code.
+std::vector<ZoneMap> BuildPartitionZoneMaps(
+    const Table& table, const std::vector<uint32_t>& part_of_row,
+    const std::vector<std::vector<uint32_t>>& partitions);
 
 }  // namespace oreo
 

@@ -37,31 +37,7 @@ using testutil::ScopedKernelMode;
 
 // ------------------------------------------------------------ fixtures ----
 
-// 3-column table (int64, double, string) with adversarial values mixed into
-// a random base distribution.
-Table MakeAdversarialTable(size_t n, uint64_t seed) {
-  Schema schema({{"i", DataType::kInt64},
-                 {"d", DataType::kDouble},
-                 {"s", DataType::kString}});
-  Table t(schema);
-  Rng rng(seed);
-  const std::vector<int64_t> int_specials = {kI64Min, kI64Max, 0, -1, 1};
-  const std::vector<double> dbl_specials = {kNaN, kInf, -kInf, 0.0, -0.0,
-                                            1e308, -1e308};
-  const std::vector<std::string> cats = {"", "a", "aa", "ab", "b",
-                                         "zebra", "\x7f\x01"};
-  for (size_t r = 0; r < n; ++r) {
-    int64_t i = rng.Bernoulli(0.1)
-                    ? int_specials[rng.Uniform(int_specials.size())]
-                    : rng.UniformInt(-100, 100);
-    double d = rng.Bernoulli(0.1)
-                   ? dbl_specials[rng.Uniform(dbl_specials.size())]
-                   : rng.UniformDouble(-50.0, 50.0);
-    const std::string& s = cats[rng.Uniform(cats.size())];
-    t.AppendRow({Value(i), Value(d), Value(s)});
-  }
-  return t;
-}
+using testutil::MakeAdversarialTable;
 
 std::vector<Predicate> AdversarialPredicates() {
   std::vector<Predicate> preds;

@@ -4,6 +4,9 @@
 // layouts actually skip data for their target workloads.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -14,6 +17,7 @@
 #include "layout/qdtree_layout.h"
 #include "layout/sorted_layout.h"
 #include "layout/zorder_layout.h"
+#include "query/kernels.h"
 #include "test_util.h"
 #include "workloads/dataset.h"
 #include "workloads/workload_gen.h"
@@ -258,6 +262,52 @@ TEST(QdTreeTest, HarvestCutsRespectsCap) {
   EXPECT_LE(HarvestCuts(wl, 32).size(), 32u);
 }
 
+// The dedupe key is exact: cuts that print alike at six decimals stay
+// apart, and only structurally equal cuts merge.
+TEST(QdTreeTest, HarvestCutsKeyIsExact) {
+  auto cuts_of = [](std::vector<Predicate> preds) {
+    std::vector<Query> wl;
+    for (Predicate& p : preds) {
+      Query q;
+      q.conjuncts = {std::move(p)};
+      wl.push_back(std::move(q));
+    }
+    return HarvestCuts(wl, 100);
+  };
+  // Both print as "col1 >= 1.000000".
+  EXPECT_EQ(cuts_of({Predicate::Ge(1, Value(1.0000001)),
+                     Predicate::Ge(1, Value(1.0000004))})
+                .size(),
+            2u);
+  // 1e300 and its neighbour: one cut each, repeats merged.
+  const double big = 1e300;
+  const double next = std::nextafter(big, std::numeric_limits<double>::infinity());
+  std::vector<Predicate> cuts =
+      cuts_of({Predicate::Ge(1, Value(big)), Predicate::Ge(1, Value(next)),
+               Predicate::Ge(1, Value(next))});
+  ASSERT_EQ(cuts.size(), 2u);
+  EXPECT_EQ(cuts[0].value.AsDouble(), next);  // the repeated one sorts first
+  EXPECT_EQ(cuts[1].value.AsDouble(), big);
+  // Equal IN lists in the same order merge; another order is another cut.
+  auto in = [](std::vector<const char*> vs) {
+    std::vector<Value> values;
+    for (const char* v : vs) values.emplace_back(v);
+    return Predicate::In(3, std::move(values));
+  };
+  EXPECT_EQ(cuts_of({in({"a", "b"}), in({"a", "b"})}).size(), 1u);
+  EXPECT_EQ(cuts_of({in({"a", "b"}), in({"b", "a"})}).size(), 2u);
+  // A string IN list whose display forms collide: ('a, b') vs ('a', 'b').
+  EXPECT_EQ(cuts_of({in({"a', 'b"}), in({"a", "b"})}).size(), 2u);
+  // Type and sign are part of the key.
+  EXPECT_EQ(cuts_of({Predicate::Eq(0, Value(int64_t{5})),
+                     Predicate::Eq(0, Value(5.0))})
+                .size(),
+            2u);
+  EXPECT_EQ(cuts_of({Predicate::Ge(1, Value(0.0)), Predicate::Ge(1, Value(-0.0))})
+                .size(),
+            2u);
+}
+
 TEST(QdTreeTest, EmptyWorkloadYieldsSingleLeaf) {
   Table t = MakeTable(500, 18);
   QdTreeGenerator gen;
@@ -406,6 +456,323 @@ TEST(QdTreeTest, KernelModesGrowIdenticalTrees) {
     }
     EXPECT_EQ(scalar_inst.partitioning().partitions,
               vector_inst.partitioning().partitions);
+  }
+}
+
+// ---------------------------------------------- Qd-tree bit identity ----
+
+// Reference greedy: the builder as first written, one Intersects pair per
+// (cut, active query) over full-sample bitmaps and a double gain.
+std::vector<QdTreeNode> ReferenceQdTree(const Table& sample,
+                                        const std::vector<Query>& workload,
+                                        uint32_t target, QdTreeOptions opts) {
+  const size_t n = sample.num_rows();
+  uint32_t min_rows = opts.min_leaf_rows;
+  if (min_rows == 0) {
+    min_rows = std::max<uint32_t>(1, static_cast<uint32_t>(n / (2 * target)));
+  }
+  std::vector<Predicate> cuts = HarvestCuts(workload, opts.max_cuts);
+  std::vector<BitVector> cut_match, query_match;
+  for (const Predicate& c : cuts) cut_match.push_back(EvalPredicateBitmap(sample, c));
+  for (const Query& q : workload) query_match.push_back(EvalQueryBitmap(sample, q));
+  struct Leaf {
+    BitVector rows;
+    size_t count;
+    int32_t node;
+    bool done = false;
+  };
+  std::vector<QdTreeNode> nodes(1);
+  std::vector<Leaf> leaves;
+  BitVector all(n);
+  all.SetAll();
+  leaves.push_back(Leaf{all, n, 0});
+  while (leaves.size() < target) {
+    int best_leaf = -1;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      if (leaves[i].done) continue;
+      if (best_leaf < 0 || leaves[i].count > leaves[best_leaf].count) {
+        best_leaf = static_cast<int>(i);
+      }
+    }
+    if (best_leaf < 0) break;
+    Leaf& leaf = leaves[best_leaf];
+    if (leaf.count < 2 * min_rows) {
+      leaf.done = true;
+      continue;
+    }
+    std::vector<uint32_t> active;
+    for (uint32_t qi = 0; qi < query_match.size(); ++qi) {
+      if (leaf.rows.Intersects(query_match[qi])) active.push_back(qi);
+    }
+    BitVector t(n), f(n);
+    double best_gain = 0.0;
+    int best_cut = -1;
+    size_t best_n1 = 0;
+    for (size_t ci = 0; ci < cuts.size(); ++ci) {
+      leaf.rows.AndInto(cut_match[ci], &t);
+      const size_t n1 = t.Count();
+      const size_t n0 = leaf.count - n1;
+      if (n1 < min_rows || n0 < min_rows) continue;
+      leaf.rows.AndNotInto(cut_match[ci], &f);
+      double gain = 0.0;
+      for (uint32_t qi : active) {
+        double after = 0.0;
+        if (t.Intersects(query_match[qi])) after += static_cast<double>(n1);
+        if (f.Intersects(query_match[qi])) after += static_cast<double>(n0);
+        gain += static_cast<double>(leaf.count) - after;
+      }
+      if (gain > best_gain) {
+        best_gain = gain;
+        best_cut = static_cast<int>(ci);
+        best_n1 = n1;
+      }
+    }
+    if (best_cut < 0) {
+      leaf.done = true;
+      continue;
+    }
+    leaf.rows.AndInto(cut_match[best_cut], &t);
+    leaf.rows.AndNotInto(cut_match[best_cut], &f);
+    const int32_t left = static_cast<int32_t>(nodes.size());
+    const int32_t right = left + 1;
+    nodes.resize(nodes.size() + 2);
+    nodes[leaf.node].cut = cuts[best_cut];
+    nodes[leaf.node].left = left;
+    nodes[leaf.node].right = right;
+    const size_t n0 = leaf.count - best_n1;
+    leaf.rows = t;
+    leaf.count = best_n1;
+    leaf.node = left;
+    leaves.push_back(Leaf{f, n0, right});
+  }
+  int32_t next_id = 0;
+  for (const Leaf& leaf : leaves) nodes[leaf.node].partition_id = next_id++;
+  return nodes;
+}
+
+// Values equal by type and bytes (doubles by bit pattern).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case DataType::kInt64:
+      return a.AsInt64() == b.AsInt64();
+    case DataType::kDouble: {
+      const double x = a.AsDouble(), y = b.AsDouble();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case DataType::kString:
+      return a.AsString() == b.AsString();
+  }
+  return false;
+}
+
+bool SamePredicate(const Predicate& a, const Predicate& b) {
+  if (a.column != b.column || a.op != b.op) return false;
+  if (!SameValue(a.value, b.value) || !SameValue(a.value2, b.value2)) return false;
+  if (a.in_list.size() != b.in_list.size()) return false;
+  for (size_t i = 0; i < a.in_list.size(); ++i) {
+    if (!SameValue(a.in_list[i], b.in_list[i])) return false;
+  }
+  return true;
+}
+
+void ExpectSameTree(const std::vector<QdTreeNode>& want,
+                    const std::vector<QdTreeNode>& got,
+                    const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].left, got[i].left) << where << ", node " << i;
+    EXPECT_EQ(want[i].right, got[i].right) << where << ", node " << i;
+    EXPECT_EQ(want[i].partition_id, got[i].partition_id) << where << ", node " << i;
+    if (!want[i].is_leaf()) {
+      EXPECT_TRUE(SamePredicate(want[i].cut, got[i].cut))
+          << where << ", node " << i << ": " << want[i].cut.ToString()
+          << " vs " << got[i].cut.ToString();
+    }
+  }
+}
+
+// A mixed table: adversarial int64/double/string columns, a low-cardinality
+// int64 and a string column with 150 distinct values.
+Table MakeMixedTable(size_t rows, uint64_t seed) {
+  Table base = testutil::MakeAdversarialTable(rows, seed);
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"s", DataType::kString},
+                  {"k", DataType::kInt64},
+                  {"name", DataType::kString}}));
+  Rng rng(seed + 1);
+  for (uint32_t r = 0; r < rows; ++r) {
+    t.AppendRow({Value(base.column(0).GetInt64(r)),
+                 Value(base.column(1).GetDouble(r)),
+                 Value(base.column(2).GetString(r)),
+                 Value(static_cast<int64_t>(rng.Uniform(12))),
+                 Value("n" + std::to_string(rng.Uniform(150)))});
+  }
+  return t;
+}
+
+// A random conjunct over MakeMixedTable's columns, constants drawn from the
+// table's own values so cuts split rows.
+Predicate RandomConjunct(const Table& t, Rng* rng) {
+  const uint32_t row = static_cast<uint32_t>(rng->Uniform(t.num_rows()));
+  const uint32_t other = static_cast<uint32_t>(rng->Uniform(t.num_rows()));
+  const int col = static_cast<int>(rng->Uniform(5));
+  auto value_at = [&](uint32_t r) {
+    const Column& c = t.column(static_cast<size_t>(col));
+    switch (c.type()) {
+      case DataType::kInt64:
+        return Value(c.GetInt64(r));
+      case DataType::kDouble:
+        return Value(c.GetDouble(r));
+      case DataType::kString:
+        break;
+    }
+    return Value(c.GetString(r));
+  };
+  Value a = value_at(row), b = value_at(other);
+  switch (rng->Uniform(7)) {
+    case 0:
+      return Predicate::Eq(col, a);
+    case 1:
+      return Predicate::Lt(col, a);
+    case 2:
+      return Predicate::Le(col, a);
+    case 3:
+      return Predicate::Gt(col, a);
+    case 4:
+      return Predicate::Ge(col, a);
+    case 5:
+      return Predicate::Between(col, a, b);
+    default:
+      return Predicate::In(col, {a, b, value_at(static_cast<uint32_t>(
+                                           rng->Uniform(t.num_rows())))});
+  }
+}
+
+std::vector<Query> RandomWorkload(const Table& t, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Query> wl(n);
+  for (Query& q : wl) {
+    const size_t conjuncts = rng.Uniform(4);  // 0 = a full scan
+    for (size_t i = 0; i < conjuncts; ++i) {
+      q.conjuncts.push_back(RandomConjunct(t, &rng));
+    }
+  }
+  return wl;
+}
+
+// The transposed split search, shared predicate bitmaps and integer gains
+// must grow the reference greedy's tree node for node in both kernel modes.
+TEST(QdTreeTest, GreedyMatchesReferenceNodeForNode) {
+  struct Case {
+    const char* name;
+    size_t rows;
+    size_t queries;
+    uint32_t target;
+    uint32_t max_cuts;
+    uint32_t min_leaf_rows;
+  };
+  const Case cases[] = {
+      {"cap binds", 1500, 300, 32, 128, 0},
+      {"four cut words", 1200, 300, 24, 200, 0},
+      {"few queries", 800, 12, 16, 128, 0},
+      {"one cut word", 700, 40, 12, 50, 0},
+      {"empty workload", 500, 0, 8, 128, 0},
+      {"min leaf blocks most splits", 900, 120, 32, 128, 300},
+      {"min leaf blocks every split", 900, 120, 32, 128, 451},
+  };
+  for (const Case& c : cases) {
+    for (simd::KernelMode mode :
+         {simd::KernelMode::kScalar, simd::KernelMode::kVector}) {
+      testutil::ScopedKernelMode scoped(mode);
+      const std::string where =
+          std::string(c.name) + ", " + simd::KernelModeName(mode);
+      const Table sample = MakeMixedTable(c.rows, 700 + c.rows);
+      const std::vector<Query> wl = RandomWorkload(sample, c.queries, c.rows);
+      QdTreeOptions opts;
+      opts.max_cuts = c.max_cuts;
+      opts.min_leaf_rows = c.min_leaf_rows;
+      if (c.queries >= 300) {
+        EXPECT_GT(HarvestCuts(wl, 100000).size(), c.max_cuts) << where;
+      }
+      std::unique_ptr<Layout> layout =
+          QdTreeGenerator(opts).Generate(sample, wl, c.target);
+      const auto* tree = dynamic_cast<const QdTreeLayout*>(layout.get());
+      ASSERT_NE(tree, nullptr);
+      ExpectSameTree(ReferenceQdTree(sample, wl, c.target, opts), tree->nodes(),
+                     where);
+      if (c.min_leaf_rows == 451 || c.queries == 0) {
+        EXPECT_EQ(tree->num_leaves(), 1u) << where;
+      } else if (c.min_leaf_rows == 0) {
+        EXPECT_GT(tree->num_leaves(), 4u) << where;
+      }
+    }
+  }
+}
+
+// Per-row reference router: walk the tree with Predicate::Matches.
+uint32_t ReferenceRoute(const QdTreeLayout& tree, const Table& t, uint32_t row) {
+  int32_t node = 0;
+  while (!tree.nodes()[node].is_leaf()) {
+    const QdTreeNode& n = tree.nodes()[node];
+    node = n.cut.Matches(t, row) ? n.left : n.right;
+  }
+  return static_cast<uint32_t>(tree.nodes()[node].partition_id);
+}
+
+// Assign splits row lists by cut bitmaps; every row must land where the
+// per-row walk sends it, NaN, ±0.0, INT64 extremes and odd strings included.
+TEST(QdTreeTest, AssignMatchesPerRowRouting) {
+  for (simd::KernelMode mode :
+       {simd::KernelMode::kScalar, simd::KernelMode::kVector}) {
+    testutil::ScopedKernelMode scoped(mode);
+    SCOPED_TRACE(simd::KernelModeName(mode));
+    const Table table = testutil::MakeAdversarialTable(5000, 811);
+    Rng rng(812);
+    const Table sample = table.SampleRows(1000, &rng);
+    // Conjuncts over the adversarial columns only (0..2).
+    std::vector<Query> wl;
+    for (const Query& q : RandomWorkload(MakeMixedTable(1000, 813), 200, 814)) {
+      Query keep;
+      for (const Predicate& p : q.conjuncts) {
+        if (p.column < 3) keep.conjuncts.push_back(p);
+      }
+      wl.push_back(keep);
+    }
+    // The mixed table's first three columns are an adversarial table of
+    // its own, so its constants include NaN and the extremes.
+    for (uint32_t target : {1u, 2u, 7u, 32u, 64u}) {
+      std::unique_ptr<Layout> layout =
+          QdTreeGenerator().Generate(sample, wl, target);
+      const auto& tree = dynamic_cast<const QdTreeLayout&>(*layout);
+      if (target >= 32) {
+        EXPECT_GT(tree.num_leaves(), 8u);
+      }
+      for (const Table* t : {&table, &sample}) {
+        const std::vector<uint32_t> got = tree.Assign(*t);
+        ASSERT_EQ(got.size(), t->num_rows());
+        for (uint32_t r = 0; r < t->num_rows(); ++r) {
+          ASSERT_EQ(got[r], ReferenceRoute(tree, *t, r))
+              << "row " << r << ", target " << target;
+        }
+      }
+    }
+    // A hand-built tree whose right subtree receives no row: its cut is
+    // never evaluated and its leaves stay empty.
+    std::vector<QdTreeNode> nodes(5);
+    nodes[0].cut = Predicate::Ge(0, Value(std::numeric_limits<int64_t>::min()));
+    nodes[0].left = 1;
+    nodes[0].right = 2;
+    nodes[1].partition_id = 0;
+    nodes[2].cut = Predicate::Eq(2, Value("zebra"));
+    nodes[2].left = 3;
+    nodes[2].right = 4;
+    nodes[3].partition_id = 1;
+    nodes[4].partition_id = 2;
+    const QdTreeLayout all_left(nodes, 3);
+    EXPECT_EQ(all_left.Assign(table), std::vector<uint32_t>(table.num_rows(), 0));
+    EXPECT_TRUE(all_left.Assign(Table(table.schema())).empty());
   }
 }
 

@@ -431,6 +431,79 @@ TEST(ZoneMapParityTest, RandomPartitionsOfAMixedTable) {
   }
 }
 
+// BuildPartitioning folds every column once, in row order, into one
+// accumulator per partition; its zones must equal the row-list builder's on
+// each partition's rows, and its lists must be the rows in ascending order.
+TEST(ZoneMapParityTest, OnePassPartitionZonesEqualRowListZones) {
+  Rng rng(6061);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"s", DataType::kString},
+                  {"few", DataType::kString},
+                  {"zeros", DataType::kDouble}}));
+  const double specials[] = {nan, -0.0, 0.0, -nan, 1.5};
+  // A partition's first row is often 1.0, and then its minimum is the first
+  // signed zero in row order.
+  const double zeros[] = {1.0, -0.0, 0.0, nan, -0.0};
+  for (int r = 0; r < 3000; ++r) {
+    const double d = rng.Bernoulli(0.3) ? specials[rng.Uniform(5)]
+                                        : rng.UniformDouble(-1.0, 1.0);
+    t.AppendRow({Value(rng.Bernoulli(0.05) ? std::numeric_limits<int64_t>::min()
+                                           : rng.UniformInt(-1000, 1000)),
+                 Value(d), Value("s" + std::to_string(rng.Uniform(300))),
+                 Value(rng.Bernoulli(0.5) ? "x" : "y"),
+                 Value(zeros[rng.Uniform(5)])});
+  }
+  struct Case {
+    const char* name;
+    uint32_t num_partitions;
+    uint32_t used;  // ids drawn from [0, used); the rest stay empty
+  };
+  const Case cases[] = {{"k = 1", 1, 1},        {"2 of 5 used", 5, 2},
+                        {"16", 16, 16},         {"every 3rd of 48 used", 48, 16},
+                        {"64", 64, 64},         {"130 (three mark words)", 130, 130}};
+  for (simd::KernelMode mode :
+       {simd::KernelMode::kScalar, simd::KernelMode::kVector}) {
+    testutil::ScopedKernelMode scoped(mode);
+    for (const Case& c : cases) {
+      const std::string where =
+          std::string(c.name) + ", " + simd::KernelModeName(mode);
+      std::vector<uint32_t> assignment(t.num_rows());
+      std::vector<std::vector<uint32_t>> want(c.num_partitions);
+      for (uint32_t r = 0; r < t.num_rows(); ++r) {
+        uint32_t id = static_cast<uint32_t>(rng.Uniform(c.used));
+        if (c.num_partitions == 48) id *= 3;
+        assignment[r] = id;
+        want[id].push_back(r);
+      }
+      want.erase(std::remove_if(want.begin(), want.end(),
+                                [](const std::vector<uint32_t>& p) {
+                                  return p.empty();
+                                }),
+                 want.end());
+      Partitioning p = BuildPartitioning(t, assignment, c.num_partitions);
+      ASSERT_EQ(p.partitions, want) << where;
+      ASSERT_EQ(p.zones.size(), want.size()) << where;
+      EXPECT_TRUE(ValidatePartitioning(p, t.num_rows())) << where;
+      size_t overflowed = 0;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ExpectZoneMapsIdentical(BuildZoneMap(t, want[i]), p.zones[i],
+                                where + ", partition " + std::to_string(i));
+        overflowed += p.zones[i].columns[2].distinct_overflow ? 1 : 0;
+      }
+      // Partitions of a few dozen rows stay under 64 distinct strings; large
+      // ones overflow, so both sides of the edge are covered.
+      if (c.num_partitions <= 16) {
+        EXPECT_EQ(overflowed, want.size()) << where;
+      }
+      if (c.num_partitions == 130) {
+        EXPECT_LT(overflowed, want.size()) << where;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------- Partitioning ----
 
 TEST(PartitioningTest, BuildsAndValidates) {

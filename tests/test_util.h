@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -39,6 +40,37 @@ class ScopedKernelMode {
   explicit ScopedKernelMode(simd::KernelMode m) { simd::SetGlobalKernelMode(m); }
   ~ScopedKernelMode() { simd::SetGlobalKernelMode(simd::KernelMode::kAuto); }
 };
+
+// 3-column table (int64, double, string) with adversarial values mixed into
+// a random base distribution: INT64_MIN/MAX, NaN, ±inf, ±0.0, ±1e308, the
+// empty string and a non-ASCII one.
+inline Table MakeAdversarialTable(size_t n, uint64_t seed) {
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString}});
+  Table t(schema);
+  Rng rng(seed);
+  const std::vector<int64_t> int_specials = {
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+      0, -1, 1};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> dbl_specials = {
+      std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0.0, -0.0,
+      1e308, -1e308};
+  const std::vector<std::string> cats = {"", "a", "aa", "ab", "b",
+                                         "zebra", "\x7f\x01"};
+  for (size_t r = 0; r < n; ++r) {
+    int64_t i = rng.Bernoulli(0.1)
+                    ? int_specials[rng.Uniform(int_specials.size())]
+                    : rng.UniformInt(-100, 100);
+    double d = rng.Bernoulli(0.1)
+                   ? dbl_specials[rng.Uniform(dbl_specials.size())]
+                   : rng.UniformDouble(-50.0, 50.0);
+    const std::string& s = cats[rng.Uniform(cats.size())];
+    t.AppendRow({Value(i), Value(d), Value(s)});
+  }
+  return t;
+}
 
 // {ts, qty, cat} — event stream used by the core / physical / integration
 // style suites: ts is arrival order, qty uniform in [0, 1000], 4 categories.
